@@ -5,15 +5,47 @@ functional layer just needs distinct, fixed-length secrets for the
 encryption pad and the MAC.  Keys are wrapped in a class so tests can
 create independent engines that provably cannot validate each other's
 ciphertexts.
+
+The hot primitives (pads, line MACs, merged-MAC folds, tree-node MACs)
+start every hash from :func:`keyed_blake2b`, a copy of a cached
+pre-keyed BLAKE2b state.  Those cached states are on-chip key material
+exactly like a :class:`KeySet`: hardware keeps its AES/MAC key schedules
+in the engine, never off chip.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 
 
 KEY_BYTES = 32
+#: Pre-keyed states kept at once (~0.9 KB each, so ~7 MB at most).  A
+#: keyset uses five -- one pad and four MAC personalizations -- so this
+#: covers ~1600 live keysets, e.g. a 1000-tenant daemon plus key
+#: epochs; keysets beyond that are re-keyed on demand, never accumulated.
+PREKEYED_STATES = 8192
+
+
+@functools.lru_cache(maxsize=PREKEYED_STATES)
+def _prekeyed(key: bytes, person: bytes, digest_size: int):
+    return hashlib.blake2b(key=key, digest_size=digest_size, person=person)
+
+
+def keyed_blake2b(key: bytes, person: bytes, digest_size: int):
+    """Fresh keyed BLAKE2b state, copied from a cached pre-keyed one.
+
+    Byte-identical to ``hashlib.blake2b(key=key, person=person,
+    digest_size=digest_size)`` -- same digests, same exceptions -- but
+    copying a keyed state skips the key setup.  Unhashable keys
+    (``bytearray``) are keyed afresh.
+    """
+    try:
+        base = _prekeyed(key, person, digest_size)
+    except TypeError:
+        return hashlib.blake2b(key=key, digest_size=digest_size, person=person)
+    return base.copy()
 
 
 class KeySet:

@@ -13,26 +13,20 @@ procedure requires (Sec. 4.4, Fig. 13).
 
 from __future__ import annotations
 
-import hashlib
 import hmac
+import struct
 from typing import Iterable, Sequence
 
 from repro.common.constants import MAC_BYTES
+from repro.crypto.keys import keyed_blake2b
 
 
 def compute_mac(key: bytes, addr: int, counter: int, data: bytes) -> bytes:
     """Fine-grained 8B MAC over (address, counter, ciphertext)."""
-    h = hashlib.blake2b(key=key, digest_size=MAC_BYTES, person=b"repro-mac-fine0")
+    h = keyed_blake2b(key, b"repro-mac-fine0", MAC_BYTES)
     h.update(addr.to_bytes(8, "little"))
     h.update(counter.to_bytes(8, "little"))
     h.update(data)
-    return h.digest()
-
-
-def _fold_step(key: bytes, acc: bytes, mac: bytes) -> bytes:
-    h = hashlib.blake2b(key=key, digest_size=MAC_BYTES, person=b"repro-mac-fold0")
-    h.update(acc)
-    h.update(mac)
     return h.digest()
 
 
@@ -40,11 +34,15 @@ def nested_mac(key: bytes, fine_macs: Sequence[bytes]) -> bytes:
     """Merged coarse MAC: left fold of fine MACs (paper Eq. 5)."""
     if not fine_macs:
         raise ValueError("cannot merge an empty MAC sequence")
-    h = hashlib.blake2b(key=key, digest_size=MAC_BYTES, person=b"repro-mac-init0")
+    h = keyed_blake2b(key, b"repro-mac-init0", MAC_BYTES)
     h.update(fine_macs[0])
     acc = h.digest()
+    fold = keyed_blake2b(key, b"repro-mac-fold0", MAC_BYTES)
     for mac in fine_macs[1:]:
-        acc = _fold_step(key, acc, mac)
+        h = fold.copy()
+        h.update(acc)
+        h.update(mac)
+        acc = h.digest()
     return acc
 
 
@@ -55,7 +53,7 @@ def node_mac(key: bytes, addr: int, parent_counter: int, payload: bytes) -> byte
     counter tree replay-proof: rolling a node back to an old value
     fails verification against the (fresh) parent counter.
     """
-    h = hashlib.blake2b(key=key, digest_size=MAC_BYTES, person=b"repro-mac-node0")
+    h = keyed_blake2b(key, b"repro-mac-node0", MAC_BYTES)
     h.update(addr.to_bytes(8, "little"))
     h.update(parent_counter.to_bytes(8, "little"))
     h.update(payload)
@@ -69,4 +67,10 @@ def macs_equal(a: bytes, b: bytes) -> bool:
 
 def pack_counters(counters: Iterable[int]) -> bytes:
     """Serialize counters into the byte payload of one tree node."""
-    return b"".join(c.to_bytes(8, "little") for c in counters)
+    values = tuple(counters)
+    try:
+        return struct.pack(f"<{len(values)}Q", *values)
+    except struct.error:
+        # Out of range or not an int: the per-value path raises the
+        # same OverflowError/AttributeError it always has.
+        return b"".join(c.to_bytes(8, "little") for c in values)

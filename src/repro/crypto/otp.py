@@ -15,9 +15,8 @@ a counter.
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.common.constants import CACHELINE_BYTES
+from repro.crypto.keys import keyed_blake2b
 
 
 def generate_otp(key: bytes, addr: int, counter: int, length: int = CACHELINE_BYTES) -> bytes:
@@ -27,7 +26,7 @@ def generate_otp(key: bytes, addr: int, counter: int, length: int = CACHELINE_BY
     pad = b""
     block = 0
     while len(pad) < length:
-        h = hashlib.blake2b(key=key, digest_size=64, person=b"repro-otp-pad00")
+        h = keyed_blake2b(key, b"repro-otp-pad00", 64)
         h.update(addr.to_bytes(8, "little"))
         h.update(counter.to_bytes(8, "little"))
         h.update(block.to_bytes(4, "little"))
@@ -37,10 +36,11 @@ def generate_otp(key: bytes, addr: int, counter: int, length: int = CACHELINE_BY
 
 
 def xor_bytes(data: bytes, pad: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
+    """XOR two equal-length byte strings (as two integers, in one step)."""
     if len(data) != len(pad):
         raise ValueError(f"length mismatch {len(data)} vs {len(pad)}")
-    return bytes(a ^ b for a, b in zip(data, pad))
+    mixed = int.from_bytes(data, "little") ^ int.from_bytes(pad, "little")
+    return mixed.to_bytes(len(data), "little")
 
 
 def encrypt_line(key: bytes, addr: int, counter: int, plaintext: bytes) -> bytes:

@@ -32,8 +32,22 @@ Beyond detection, the engine supports *recovery* (see
   32KB chunk under a fresh key epoch, so narrow counters degrade into
   extra work instead of a dead engine.
 
-The functional layer favours clarity over speed; the timing layer in
-:mod:`repro.schemes` shares the same core logic but only counts.
+Read-path invariant: every :meth:`SecureMemory.read` call verifies
+the merged MAC of each coarse region it covers against the region's
+*current* off-chip bytes -- once per call, however many of the
+region's lines it returns -- and decrypts only the requested lines.
+The verified ciphertexts are memoized in a dict local to that one call,
+keyed by (region base, granularity, counter, current bitmap, key
+epoch), so a switch or epoch bump inside the call misses it and
+nothing verified survives into the next call: a tamper staged between
+two reads is caught by the second.  Writes, switches and overflow
+re-encryption open (verify + decrypt) whole regions.  The crypto
+primitives start from cached pre-keyed hash states
+(:func:`repro.crypto.keys.keyed_blake2b`), which are on-chip key
+material like the :class:`KeySet` itself.
+
+The timing layer in :mod:`repro.schemes` shares the same core logic but
+only counts.
 """
 
 from __future__ import annotations
@@ -144,12 +158,17 @@ class SecureMemory:
             self.writes += 1
 
     def read(self, addr: int, size: int) -> bytes:
-        """Verified read of ``size`` bytes from 64B-aligned ``addr``."""
+        """Verified read of ``size`` bytes from 64B-aligned ``addr``.
+
+        Each covering coarse region is verified once per call (see the
+        module docstring); the memo dies with the call.
+        """
         self._check_aligned_access(addr, size)
         out = bytearray()
+        verified: Dict[tuple, Optional[List[bytes]]] = {}
         for line_index in iter_lines(addr, size):
             line_addr = line_index * CACHELINE_BYTES
-            out += self._read_line(line_addr)
+            out += self._read_line(line_addr, verified)
             self.reads += 1
         return bytes(out)
 
@@ -319,18 +338,19 @@ class SecureMemory:
         new_counter = self.tree.increment_counter(region_base, level=level)
         self._seal_region(region_base, granularity, new_counter, plaintexts, bits)
 
-    def _read_line(self, line_addr: int) -> bytes:
+    def _read_line(self, line_addr: int, verified: dict) -> bytes:
         if line_addr in self._quarantined:
             self.events.bump("quarantined_line_reads")
             raise QuarantineError(
                 f"read of quarantined line {line_addr:#x}"
             )
         try:
-            return self._read_line_verified(line_addr)
+            return self._read_line_verified(line_addr, verified)
         except (IntegrityError, ReplayError) as exc:
-            return self._handle_read_failure(line_addr, exc)
+            return self._handle_read_failure(line_addr, exc, verified)
 
-    def _read_line_verified(self, line_addr: int) -> bytes:
+    def _read_line_verified(self, line_addr: int, verified: dict) -> bytes:
+        """Read one line; ``verified`` is the calling ``read``'s memo."""
         granularity = self._resolve(line_addr, is_write=False)
         bits = self._current_bits(line_addr)
         if granularity == GRANULARITIES[0]:
@@ -339,14 +359,28 @@ class SecureMemory:
         level = granularity_level(granularity)
         region_base = align_down(line_addr, granularity)
         counter = self.tree.read_counter(region_base, level=level)
-        plaintexts = self._open_region(region_base, granularity, counter, bits)
-        return plaintexts[(line_addr - region_base) // CACHELINE_BYTES]
+        memo = (region_base, granularity, counter, bits, self.key_epoch(region_base))
+        if memo in verified:
+            ciphertexts = verified[memo]
+        else:
+            ciphertexts = self._verify_region(region_base, granularity, counter, bits)
+            verified[memo] = ciphertexts
+        if ciphertexts is None:
+            return _ZERO_LINE  # pristine region
+        return decrypt_line(
+            self._keys_for(region_base).encryption_key,
+            line_addr,
+            counter,
+            ciphertexts[(line_addr - region_base) // CACHELINE_BYTES],
+        )
 
     # ------------------------------------------------------------------
     # Integrity-failure handling (FailurePolicy)
     # ------------------------------------------------------------------
 
-    def _handle_read_failure(self, line_addr: int, exc: Exception) -> bytes:
+    def _handle_read_failure(
+        self, line_addr: int, exc: Exception, verified: dict
+    ) -> bytes:
         self.events.bump("integrity_failures")
         if self.tracer:
             self.tracer.emit(
@@ -362,7 +396,7 @@ class SecureMemory:
         if self.failure_policy.retries_first:
             for _ in range(self.failure_policy.retries):
                 try:
-                    data = self._read_line_verified(line_addr)
+                    data = self._read_line_verified(line_addr, verified)
                 except (IntegrityError, ReplayError) as again:
                     exc = again
                     continue
@@ -936,8 +970,27 @@ class SecureMemory:
         """Verify a whole region's merged MAC and decrypt every line."""
         if granularity == GRANULARITIES[0]:
             return [self._open_line(region_base, counter, bits)]
+        ciphertexts = self._verify_region(region_base, granularity, counter, bits)
+        if ciphertexts is None:
+            return [_ZERO_LINE] * (granularity // CACHELINE_BYTES)
+        enc_key = self._keys_for(region_base).encryption_key
+        return [
+            decrypt_line(enc_key, region_base + off, counter, ct)
+            for off, ct in zip(range(0, granularity, CACHELINE_BYTES), ciphertexts)
+        ]
 
-        keys = self._keys_for(region_base)
+    def _verify_region(
+        self, region_base: int, granularity: int, counter: int, bits: int
+    ) -> Optional[List[bytes]]:
+        """Check a coarse region's merged MAC against its off-chip bytes.
+
+        MACs every line, folds the fine MACs (Eq. 5) and compares the
+        result with the stored merged MAC; a mismatch probes older
+        counters to classify replay vs corruption.  Returns the
+        verified ciphertexts, or ``None`` for a pristine (never
+        written) region, which reads as zeros.
+        """
+        mac_key = self._keys_for(region_base).mac_key
         ciphertexts = [
             self.dram.read_line(region_base + off)
             for off in range(0, granularity, CACHELINE_BYTES)
@@ -947,29 +1000,27 @@ class SecureMemory:
         )
         if stored is None:
             if all(ct == _ZERO_LINE for ct in ciphertexts) and counter == 0:
-                return [_ZERO_LINE] * len(ciphertexts)  # pristine region
+                return None  # pristine region
             raise IntegrityError(
                 f"missing merged MAC for region {region_base:#x}"
             )
         fine_macs = [
-            compute_mac(keys.mac_key, region_base + off, counter, ct)
+            compute_mac(mac_key, region_base + off, counter, ct)
             for off, ct in zip(
                 range(0, granularity, CACHELINE_BYTES), ciphertexts
             )
         ]
-        merged = nested_mac(keys.mac_key, fine_macs)
+        merged = nested_mac(mac_key, fine_macs)
         if not macs_equal(stored, merged):
             # Probe older counters to classify replay vs corruption.
             for old in range(max(0, counter - _REPLAY_PROBE_WINDOW), counter):
                 old_fines = [
-                    compute_mac(keys.mac_key, region_base + off, old, ct)
+                    compute_mac(mac_key, region_base + off, old, ct)
                     for off, ct in zip(
                         range(0, granularity, CACHELINE_BYTES), ciphertexts
                     )
                 ]
-                if macs_equal(
-                    nested_mac(keys.mac_key, old_fines), stored
-                ):
+                if macs_equal(nested_mac(mac_key, old_fines), stored):
                     raise ReplayError(
                         f"replayed region detected at {region_base:#x}"
                     )
@@ -977,10 +1028,7 @@ class SecureMemory:
                 f"merged MAC mismatch on region {region_base:#x} "
                 f"({granularity}B granularity)"
             )
-        return [
-            decrypt_line(keys.encryption_key, region_base + off, counter, ct)
-            for off, ct in zip(range(0, granularity, CACHELINE_BYTES), ciphertexts)
-        ]
+        return ciphertexts
 
     # ------------------------------------------------------------------
     # Small utilities

@@ -61,6 +61,7 @@ from repro.service.protocol import (
     EnvelopeError,
     FrameError,
     OverloadError,
+    TooLargeError,
     UnknownTenantError,
     WireError,
 )
@@ -578,9 +579,18 @@ class ServiceDaemon:
             shard.last = (seq, request["tag"], result)
             return result
         if op == "get":
-            data = session.get(
-                int(body.get("addr", 0)), int(body.get("size", 64))
-            )
+            addr = int(body.get("addr", 0))
+            size = int(body.get("size", 64))
+            limit = protocol.max_get_bytes(request.get("id"))
+            if size > limit:
+                # Refuse before reading: the hex reply could never be
+                # framed, and a retry would only repeat the read.
+                raise TooLargeError(
+                    f"get of {size} bytes exceeds the {limit}-byte reply "
+                    f"limit of one {protocol.MAX_FRAME_BYTES}-byte frame; "
+                    "split it into smaller gets"
+                )
+            data = session.get(addr, size)
             result = {"data_hex": data.hex()}
             shard.last = (seq, request["tag"], result)
             return result

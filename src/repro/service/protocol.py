@@ -118,6 +118,16 @@ class StateError(WireError):
     code = "state-error"
 
 
+class TooLargeError(WireError):
+    """The reply to this request cannot fit in one frame.
+
+    Typed and *not* retryable: the same request always needs the same
+    reply, so the caller must ask for less (split a large ``get``).
+    """
+
+    code = "too-large"
+
+
 def canonical(obj) -> str:
     """Canonical JSON (sorted keys, no whitespace) for tags/digests."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -291,6 +301,18 @@ def verify_tag(
 
 def ok_response(request_id, body: Dict[str, object]) -> Dict[str, object]:
     return {"v": WIRE_SCHEMA, "id": request_id, "ok": True, "body": body}
+
+
+def max_get_bytes(request_id) -> int:
+    """Largest ``get`` size whose reply frame fits :data:`MAX_FRAME_BYTES`.
+
+    The reply is the ``ok`` envelope around ``{"data_hex": ...}``, two
+    hex digits per byte; the request id is echoed, so it counts too.
+    """
+    empty = json.dumps(
+        ok_response(request_id, {"data_hex": ""}), separators=(",", ":")
+    ).encode("utf-8")
+    return (MAX_FRAME_BYTES - len(empty)) // 2
 
 
 def error_response(request_id, exc: Exception) -> Dict[str, object]:

@@ -1,9 +1,11 @@
 """Multi-granular functional behaviour: promotion, demotion, merged MACs."""
 
+from collections import Counter
+
 import pytest
 
 from repro.common.constants import CHUNK_BYTES, GRANULARITIES
-from repro.common.errors import SecurityError
+from repro.common.errors import IntegrityError, QuarantineError, SecurityError
 from repro.crypto.keys import KeySet
 from repro.secure_memory import SecureMemory
 
@@ -86,6 +88,73 @@ class TestMergedMacSecurity:
         level = GRANULARITIES.index(memory.granularity_of(0))
         shared = memory.tree.read_counter(0, level=level)
         assert shared > 0
+
+
+class TestReadPath:
+    """A read verifies each covering region once and decrypts only what
+    it returns.  Calls are counted through the module names a profiler
+    wraps: the engine's MAC imports and the OTP module's pad function.
+    """
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        from repro.crypto import otp
+        from repro.secure_memory import engine
+
+        counts = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(engine, "compute_mac")
+        count(engine, "nested_mac")
+        count(otp, "generate_otp")
+        return counts
+
+    def test_64b_read_of_promoted_region_verifies_all_decrypts_one(
+        self, memory, calls
+    ):
+        stream_chunk(memory)
+        assert memory.granularity_of(0) == CHUNK_BYTES
+        calls.clear()
+        assert memory.read(64 * 17, 64) == CHUNK_DATA[64 * 17 : 64 * 18]
+        assert calls == {"compute_mac": 512, "nested_mac": 1, "generate_otp": 1}
+
+    def test_whole_chunk_read_verifies_the_region_once(self, memory, calls):
+        stream_chunk(memory)
+        calls.clear()
+        assert memory.read(0, CHUNK_BYTES) == CHUNK_DATA
+        assert calls == {
+            "compute_mac": 512, "nested_mac": 1, "generate_otp": 512,
+        }
+
+    def test_tamper_between_two_reads_caught_by_the_second(self, memory):
+        stream_chunk(memory)
+        assert memory.read(0, 64) == CHUNK_DATA[:64]
+        memory.tamper_data(64 * 200)
+        with pytest.raises(IntegrityError):
+            memory.read(0, 64)
+
+    @pytest.mark.parametrize("policy", ["raise", "quarantine"])
+    def test_multi_line_read_catches_a_tamper_past_its_first_line(
+        self, keys, policy
+    ):
+        memory = SecureMemory(REGION, keys=keys, failure_policy=policy)
+        stream_chunk(memory)
+        memory.tamper_data(64 * 300)
+        if policy == "raise":
+            with pytest.raises(IntegrityError):
+                memory.read(0, 1024)
+            return
+        with pytest.raises(QuarantineError):
+            memory.read(0, 1024)
+        assert memory.is_quarantined(0) and memory.is_quarantined(64 * 300)
 
 
 class TestSwitchAccounting:

@@ -318,6 +318,25 @@ def test_fuzz_random_bytes_then_valid_session(seed):
     with_daemon(scenario)
 
 
+def test_oversized_get_is_rejected_typed_and_the_connection_survives():
+    """A get whose hex reply cannot fit one frame fails before reading."""
+
+    async def scenario(daemon, path):
+        async with AsyncServiceClient(socket_path=path) as client:
+            await client.open("t1", b"k", duration=DURATION, data_bytes=8 << 20)
+            with pytest.raises(ServiceError) as caught:
+                await client.get("t1", b"k", 0, 5 << 20)
+            assert caught.value.code == "too-large"
+            assert str(protocol.MAX_FRAME_BYTES) in caught.value.message
+            assert counter(daemon, "op.get") == 1  # one attempt, no retry
+            assert counter(daemon, "errors.too-large") == 1
+            # The same connection still serves a small get.
+            assert await client.get("t1", b"k", 0, 64) == bytes(64)
+            assert counter(daemon, "connections") == 1
+
+    with_daemon(scenario)
+
+
 def test_engine_errors_stay_per_request():
     async def scenario(daemon, path):
         async with AsyncServiceClient(socket_path=path) as client:

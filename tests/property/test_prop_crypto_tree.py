@@ -1,13 +1,15 @@
 """Property-based tests: crypto primitives and the functional tree."""
 
+import hashlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro.common.errors import SecurityError
-from repro.crypto.keys import KeySet
-from repro.crypto.mac import compute_mac, nested_mac
-from repro.crypto.otp import decrypt_line, encrypt_line
+from repro.crypto.keys import KeySet, keyed_blake2b
+from repro.crypto.mac import compute_mac, nested_mac, pack_counters
+from repro.crypto.otp import decrypt_line, encrypt_line, xor_bytes
 from repro.tree.geometry import TreeGeometry
 from repro.tree.integrity_tree import CounterTree
 
@@ -62,6 +64,42 @@ class TestMacProperties:
             mutated[i] = bytes(8)
             if mutated[i] != macs[i]:
                 assert nested_mac(KEYS.mac_key, mutated) != merged
+
+
+class TestFastPathsMatchReferences:
+    """The optimized primitives equal their straightforward definitions."""
+
+    @given(
+        st.binary(max_size=300).flatmap(
+            lambda a: st.tuples(
+                st.just(a), st.binary(min_size=len(a), max_size=len(a))
+            )
+        )
+    )
+    def test_xor_bytes_matches_per_byte_xor(self, pair):
+        data, pad = pair
+        assert xor_bytes(data, pad) == bytes(a ^ b for a, b in zip(data, pad))
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=16))
+    def test_pack_counters_matches_per_counter_bytes(self, values):
+        assert pack_counters(values) == b"".join(
+            v.to_bytes(8, "little") for v in values
+        )
+
+    @given(
+        st.binary(min_size=1, max_size=64),
+        st.sampled_from([b"repro-otp-pad00", b"repro-mac-fold0", b""]),
+        st.sampled_from([8, 64]),
+        st.binary(max_size=200),
+    )
+    def test_keyed_blake2b_matches_a_freshly_keyed_hash(
+        self, key, person, size, message
+    ):
+        fresh = hashlib.blake2b(message, key=key, digest_size=size, person=person)
+        for _ in range(2):  # a caller's updates never leak into the cache
+            h = keyed_blake2b(key, person, size)
+            h.update(message)
+            assert h.digest() == fresh.digest()
 
 
 class TestTreeProperties:

@@ -56,6 +56,16 @@ def test_oversized_payload_refused_at_encode():
         protocol.encode_frame({"blob": "x" * (MAX_FRAME_BYTES + 16)})
 
 
+@pytest.mark.parametrize("request_id", [7, "r" * 300])
+def test_max_get_bytes_is_the_exact_reply_frame_boundary(request_id):
+    limit = protocol.max_get_bytes(request_id)
+    fits = protocol.ok_response(request_id, {"data_hex": "ab" * limit})
+    assert len(protocol.encode_frame(fits)) <= HEADER_BYTES + MAX_FRAME_BYTES
+    over = protocol.ok_response(request_id, {"data_hex": "ab" * (limit + 1)})
+    with pytest.raises(FrameError):
+        protocol.encode_frame(over)
+
+
 def test_non_object_body_rejected():
     with pytest.raises(FrameError, match="object"):
         protocol.decode_body(json.dumps([1, 2, 3]).encode())
