@@ -37,8 +37,11 @@ def footprint_rows() -> list:
         memory = SecureMemory(
             1 << 20, keys=KeySet.from_seed(b"ext-meta"), policy=policy
         )
+        # The scale-up happens at the first write's 512th line; the
+        # second write rewrites the promoted chunk, and the footprint is
+        # the same after either.
         memory.write(0, data)
-        memory.write(0, data)  # second stream applies the lazy switch
+        memory.write(0, data)
         footprint = memory.metadata_footprint()
         rows.append(
             {

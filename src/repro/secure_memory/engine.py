@@ -46,6 +46,21 @@ primitives start from cached pre-keyed hash states
 (:func:`repro.crypto.keys.keyed_blake2b`), which are on-chip key
 material like the :class:`KeySet` itself.
 
+Write-path invariant: one :meth:`SecureMemory.write` call defers two
+kinds of sealing to points inside the same call.  The counter tree seals
+each changed node once (:attr:`CounterTree.defer_seals`), and
+consecutive lines that land in one coarse region (same base,
+granularity and current bitmap, no switch between them) form a *run*:
+the region is opened (verified + decrypted against its current off-chip
+bytes) at the run's first line, its shared counter is still incremented
+once per line, and its lines are encrypted and its merged MAC stored
+once, when the run ends -- at the next region, before a switch, first
+thing in the overflow and integrity handlers, and when the call returns
+or raises.  Nothing deferred outlives the call: a write's first touch
+of a region always verifies it, a tamper staged between two writes is
+caught by the second, and the state after each call is the one
+resealing every line leaves.
+
 The timing layer in :mod:`repro.schemes` shares the same core logic but
 only counts.
 """
@@ -85,6 +100,24 @@ from repro.tree.integrity_tree import CounterTree
 
 _REPLAY_PROBE_WINDOW = 64
 _ZERO_LINE = bytes(CACHELINE_BYTES)
+
+
+class _OpenRun:
+    """A coarse region one ``write`` call has opened and not yet sealed."""
+
+    __slots__ = ("key", "counter", "plaintexts")
+
+    def __init__(
+        self,
+        base: int,
+        granularity: int,
+        bits: int,
+        counter: int,
+        plaintexts: List[bytes],
+    ) -> None:
+        self.key = (base, granularity, bits)
+        self.counter = counter
+        self.plaintexts = plaintexts
 
 
 class SecureMemory:
@@ -138,6 +171,8 @@ class SecureMemory:
         # by a fresh write ("heal") or permanently ("hard").
         self._quarantined: Dict[int, str] = {}
         self._quarantine_masks: Dict[int, int] = {}
+        # The coarse region a ``write`` call has opened and not sealed.
+        self._run: Optional[_OpenRun] = None
         self.cycle = 0
         self.reads = 0
         self.writes = 0
@@ -148,14 +183,25 @@ class SecureMemory:
     # ------------------------------------------------------------------
 
     def write(self, addr: int, data: bytes) -> None:
-        """Encrypt and store ``data`` at 64B-aligned ``addr``."""
+        """Encrypt and store ``data`` at 64B-aligned ``addr``.
+
+        Tree-node and coarse-region seals wait for the end of the call
+        (see the module docstring); none outlives it.
+        """
         self._check_aligned_access(addr, len(data))
-        for line_index in iter_lines(addr, len(data)):
-            line_addr = line_index * CACHELINE_BYTES
-            offset = line_addr - addr
-            payload = data[offset : offset + CACHELINE_BYTES]
-            self._write_line(line_addr, payload)
-            self.writes += 1
+        tree = self.tree
+        tree.defer_seals = True
+        try:
+            for line_index in iter_lines(addr, len(data)):
+                line_addr = line_index * CACHELINE_BYTES
+                offset = line_addr - addr
+                payload = data[offset : offset + CACHELINE_BYTES]
+                self._write_line(line_addr, payload)
+                self.writes += 1
+        finally:
+            tree.defer_seals = False
+            self._close_run()
+            tree.seal()
 
     def read(self, addr: int, size: int) -> bytes:
         """Verified read of ``size`` bytes from 64B-aligned ``addr``.
@@ -298,6 +344,7 @@ class SecureMemory:
         try:
             self._write_line_at(line_addr, payload, granularity)
         except CounterOverflowError:
+            self._close_run()
             self.events.bump("counter_overflows")
             if self.tracer:
                 self.tracer.emit(
@@ -309,12 +356,14 @@ class SecureMemory:
             self._reencrypt_chunk(chunk_base(line_addr))
             self._write_line_at(line_addr, payload, granularity)
         except (IntegrityError, ReplayError) as exc:
+            self._close_run()
             self._handle_write_failure(line_addr, payload, granularity, exc)
 
     def _write_line_at(
         self, line_addr: int, payload: bytes, granularity: int
     ) -> None:
         if granularity == GRANULARITIES[0]:
+            self._close_run()
             counter = self.tree.increment_counter(line_addr, level=0)
             self._seal_line(line_addr, counter, payload, self._current_bits(line_addr))
             return
@@ -328,15 +377,33 @@ class SecureMemory:
         The shared counter advances, so every line of the region is
         re-encrypted under the new value -- this is precisely the cost
         the dynamic detector exists to avoid on mispredicted regions.
+        Within one ``write`` call the region stays open across a run of
+        its lines and is sealed once, when the run ends (module
+        docstring); the counter still advances once per line.
         """
         level = granularity_level(granularity)
         region_base = align_down(line_addr, granularity)
         bits = self._current_bits(line_addr)
+        index = (line_addr - region_base) // CACHELINE_BYTES
+        run = self._run
+        if run is not None and run.key == (region_base, granularity, bits):
+            run.counter = self.tree.increment_counter(region_base, level=level)
+            run.plaintexts[index] = payload
+            return
+        self._close_run()
         old_counter = self.tree.read_counter(region_base, level=level)
         plaintexts = self._open_region(region_base, granularity, old_counter, bits)
-        plaintexts[(line_addr - region_base) // CACHELINE_BYTES] = payload
-        new_counter = self.tree.increment_counter(region_base, level=level)
-        self._seal_region(region_base, granularity, new_counter, plaintexts, bits)
+        plaintexts[index] = payload
+        counter = self.tree.increment_counter(region_base, level=level)
+        self._run = _OpenRun(region_base, granularity, bits, counter, plaintexts)
+
+    def _close_run(self) -> None:
+        """Seal the open coarse region, if any, under its latest counter."""
+        run = self._run
+        if run is not None:
+            self._run = None
+            base, granularity, bits = run.key
+            self._seal_region(base, granularity, run.counter, run.plaintexts, bits)
 
     def _read_line(self, line_addr: int, verified: dict) -> bytes:
         if line_addr in self._quarantined:
@@ -683,6 +750,7 @@ class SecureMemory:
         verification pass (transient glitches); a failure during the
         re-seal pass leaves the span fail-closed via quarantine.
         """
+        self._close_run()  # the switch re-opens the span from off-chip
         try:
             self._apply_switch_functional(event)
             return
@@ -772,44 +840,24 @@ class SecureMemory:
         """
         span = max(event.old_granularity, event.new_granularity)
         span_base = align_down(event.addr, span)
+        old_layout = list(self._iter_subregions(span_base, span, event.old_bits))
 
         # Pass 1: open every sub-region under its old seal.
         plaintexts: List[bytes] = []
         max_counter = 0
-        off = 0
-        while off < span:
-            sub = span_base + off
-            sub_g = min(
-                stream_part.resolve_granularity(event.old_bits, sub), span
-            )
+        for sub, sub_g in old_layout:
             counter = self.tree.read_counter(sub, level=granularity_level(sub_g))
             plaintexts.extend(
                 self._open_region(sub, sub_g, counter, event.old_bits)
             )
             max_counter = max(max_counter, counter)
-            off += sub_g
 
         # Stale fine/merged MACs of the old layout are garbage once the
         # region is resealed; collect their addresses for reclamation.
-        stale_macs = set()
-        off = 0
-        while off < span:
-            sub = span_base + off
-            sub_g = min(
-                stream_part.resolve_granularity(event.old_bits, sub), span
-            )
-            if sub_g == GRANULARITIES[0]:
-                for line_off in range(0, sub_g, CACHELINE_BYTES):
-                    stale_macs.add(
-                        addressing.mac_addr(
-                            self.geometry, event.old_bits, sub + line_off
-                        )
-                    )
-            else:
-                stale_macs.add(
-                    addressing.mac_addr(self.geometry, event.old_bits, sub)
-                )
-            off += sub_g
+        stale_macs = {
+            addressing.mac_addr(self.geometry, event.old_bits, sub)
+            for sub, _ in old_layout
+        }
 
         # Scale-up under an exhausted counter would exceed the legal
         # width: rotate the chunk's key epoch first (re-encrypting the
@@ -840,23 +888,17 @@ class SecureMemory:
 
         # Pass 2: reseal every sub-region under its new granularity.
         fresh_macs = set()
-        off = 0
-        while off < span:
-            sub = span_base + off
-            sub_g = min(
-                stream_part.resolve_granularity(event.new_bits, sub), span
-            )
+        for sub, sub_g in self._iter_subregions(span_base, span, event.new_bits):
             level = granularity_level(sub_g)
             self.tree.set_counter(sub, level, shared, revive=True)
             if level > 0:
                 self.tree.prune_subtree(sub, level)
-            first_line = off // CACHELINE_BYTES
+            first_line = (sub - span_base) // CACHELINE_BYTES
             lines = plaintexts[first_line : first_line + sub_g // CACHELINE_BYTES]
             self._seal_region(sub, sub_g, shared, lines, event.new_bits)
             fresh_macs.add(
                 addressing.mac_addr(self.geometry, event.new_bits, sub)
             )
-            off += sub_g
 
         # Reclaim obsolete MAC slots (compaction frees them, Fig. 9).
         for mac_addr in stale_macs - fresh_macs:

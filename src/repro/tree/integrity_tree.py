@@ -19,6 +19,17 @@ below it is never touched (pruned).  ``increment_counter`` /
 
 Attacker primitives (`tamper_*`, `snapshot_node`, `replay_node`) mutate
 the off-chip state directly, mirroring the paper's physical attacker.
+
+Node seals are deferred.  An update bumps the counters at once but only
+records which nodes changed; :meth:`CounterTree.seal` then computes each
+recorded node's MAC once, from its final payload and final freshness
+counter.  Outside a write scope every public call seals before it
+returns, so the state after each call is exactly what resealing on every
+update leaves.  Inside one (:attr:`CounterTree.defer_seals`, set for the
+length of one ``SecureMemory.write`` call) a node that many updates
+change is sealed once: when the scope ends, or first thing in any method
+that reads or replaces seals.  Changed nodes stay in the trusted on-chip
+cache until sealed, so nothing is ever checked against a stale seal.
 """
 
 from __future__ import annotations
@@ -26,7 +37,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.constants import CACHELINE_BYTES, COUNTERS_PER_LINE
-from repro.common.errors import CounterOverflowError, IntegrityError, ReplayError
+from repro.common.errors import (
+    ConfigError,
+    CounterOverflowError,
+    IntegrityError,
+    ReplayError,
+)
 from repro.crypto.keys import KeySet
 from repro.crypto.mac import macs_equal, node_mac, pack_counters
 from repro.tree.geometry import TreeGeometry
@@ -44,7 +60,6 @@ class CounterTree:
         self,
         geometry: TreeGeometry,
         keys: KeySet,
-        trust_cache: bool = True,
         counter_limit: int = _COUNTER_LIMIT,
     ) -> None:
         if not 1 < counter_limit <= _COUNTER_LIMIT:
@@ -57,13 +72,24 @@ class CounterTree:
         #: make the overflow path testable; the freshness counters of
         #: the node-seal chain always use the full 64-bit width.
         self.counter_limit = counter_limit
+        #: While True, updates leave their seals to :meth:`seal`; see
+        #: the module docstring.
+        self.defer_seals = False
         # Off-chip, attacker-controlled state:
         self._payloads: Dict[NodeId, List[int]] = {}
         self._macs: Dict[NodeId, bytes] = {}
         # On-chip state:
         self._root: List[int] = [0] * COUNTERS_PER_LINE
-        self._trust_cache_enabled = trust_cache
         self._trusted: Dict[NodeId, List[int]] = {}
+        # Nodes changed since their MAC was last computed, in the order
+        # a reseal on every update would have sealed them (an ordered
+        # set, so ``_macs`` gains new keys in that same order).
+        self._unsealed: Dict[NodeId, None] = {}
+        # The climb indexes the geometry's level tables directly;
+        # nodes derived from a checked node are in range.
+        self._root_level = geometry.root_level
+        self._arity = geometry.arity
+        self._node_bases = geometry.level_tables()[2]
         # Statistics (functional-layer only; timing stats live elsewhere).
         self.verifications = 0
         self.node_fetches = 0
@@ -78,20 +104,23 @@ class CounterTree:
         ``level=0`` reads the fine 64B counter; ``level=l`` reads the
         promoted counter of the ``64B * 8**l`` region (paper Eq. 2-3).
         """
-        node, slot = self.geometry.counter_slot(addr, level)
-        payload = self._verified_payload(level, node)
-        return payload[slot]
+        node, slot = self._counter_slot(addr, level)
+        return self._verified_payload(level, node)[slot]
 
     def increment_counter(self, addr: int, level: int = 0) -> int:
-        """Increment the counter of ``addr`` at ``level`` and reseal the path.
+        """Increment the counter of ``addr`` at ``level``; returns it.
 
         Bumps the target counter and the freshness counter of every
-        node on the path to the root, then recomputes the affected
-        node MACs bottom-up.  Returns the new counter value.
+        node on the path to the root; the changed nodes are resealed
+        bottom-up before the call returns, or when the write scope
+        ends (:attr:`defer_seals`).
         """
-        node, slot = self.geometry.counter_slot(addr, level)
-        self._bump(level, node, slot)
-        return self._verified_payload(level, node)[slot]
+        node, slot = self._counter_slot(addr, level)
+        try:
+            return self._bump(level, node, slot)
+        finally:
+            if not self.defer_seals:
+                self.seal()
 
     def set_counter(
         self, addr: int, level: int, value: int, revive: bool = False
@@ -109,8 +138,11 @@ class CounterTree:
         verify -- reviving silently over a tampered seal would let an
         attacker roll counters back.
         """
-        node, slot = self.geometry.counter_slot(addr, level)
-        if level == self.geometry.root_level:
+        node, slot = self._counter_slot(addr, level)
+        # Revival reads the stored seals, and a promoted counter is its
+        # child's freshness counter: nothing may be pending here.
+        self.seal()
+        if level == self._root_level:
             # Promoted counters can land in the root itself when the
             # region is small; the root lives on-chip and needs no seal.
             self._root[slot] = value
@@ -121,7 +153,41 @@ class CounterTree:
             payload = self._verified_payload(level, node)
         fresh = list(payload)
         fresh[slot] = value
-        self._commit(level, node, fresh, revive=revive)
+        try:
+            self._commit(level, node, fresh, revive=revive)
+        finally:
+            if not self.defer_seals:
+                self.seal()
+
+    def seal(self) -> None:
+        """Compute the MAC of every node changed since the last seal.
+
+        Each node is sealed from its current payload under its current
+        freshness counter in the parent -- the MAC the last of its
+        updates would have written.
+        """
+        unsealed = self._unsealed
+        if not unsealed:
+            return
+        payloads = self._payloads
+        macs = self._macs
+        root = self._root
+        root_level = self._root_level
+        arity = self._arity
+        bases = self._node_bases
+        mac_key = self.keys.mac_key
+        for level, node in unsealed:
+            if level + 1 == root_level:
+                parent = root
+            else:
+                parent = payloads[(level + 1, node // arity)]
+            macs[(level, node)] = node_mac(
+                mac_key,
+                bases[level] + node * CACHELINE_BYTES,
+                parent[node % arity],
+                pack_counters(payloads[(level, node)]),
+            )
+        unsealed.clear()
 
     def _revivable_payload(self, level: int, node: int) -> List[int]:
         """Payload for a scale-down target: verified, or zeros if pruned.
@@ -132,7 +198,7 @@ class CounterTree:
         the contents anyway.  A seal that is neither current nor stale-
         authentic is corruption and still raises.
         """
-        if level == self.geometry.root_level:
+        if level == self._root_level:
             return self._root
         if (level, node) not in self._macs:
             return [0] * COUNTERS_PER_LINE
@@ -148,6 +214,7 @@ class CounterTree:
         counter; every node below it that covered the region becomes
         dead storage.  Returns the number of nodes reclaimed.
         """
+        self.seal()
         region = CACHELINE_BYTES * (self.geometry.arity ** level)
         base = addr - addr % region
         pruned = 0
@@ -202,7 +269,8 @@ class CounterTree:
 
     def tamper_counter(self, addr: int, level: int = 0, delta: int = 1) -> None:
         """Silently modify a stored counter without resealing MACs."""
-        node, slot = self.geometry.counter_slot(addr, level)
+        node, slot = self._counter_slot(addr, level)
+        self.seal()
         payload = self._payloads.setdefault(
             (level, node), [0] * COUNTERS_PER_LINE
         )
@@ -211,7 +279,8 @@ class CounterTree:
 
     def tamper_node_mac(self, addr: int, level: int = 0) -> None:
         """Flip a bit of a stored node MAC."""
-        node, _ = self.geometry.counter_slot(addr, level)
+        node, _ = self._counter_slot(addr, level)
+        self.seal()
         mac = self._macs.get((level, node))
         if mac is None:
             raise KeyError(f"node ({level}, {node}) has no stored MAC yet")
@@ -221,7 +290,8 @@ class CounterTree:
 
     def snapshot_node(self, addr: int, level: int = 0) -> Tuple[List[int], Optional[bytes]]:
         """Capture a node's off-chip state for a later replay."""
-        node, _ = self.geometry.counter_slot(addr, level)
+        node, _ = self._counter_slot(addr, level)
+        self.seal()
         payload = self._payloads.get((level, node))
         return (
             list(payload) if payload is not None else [0] * COUNTERS_PER_LINE,
@@ -232,7 +302,8 @@ class CounterTree:
         self, addr: int, snapshot: Tuple[List[int], Optional[bytes]], level: int = 0
     ) -> None:
         """Restore a previously captured node (a replay attack)."""
-        node, _ = self.geometry.counter_slot(addr, level)
+        node, _ = self._counter_slot(addr, level)
+        self.seal()
         payload, mac = snapshot
         self._payloads[(level, node)] = list(payload)
         if mac is None:
@@ -243,32 +314,44 @@ class CounterTree:
 
     def drop_trust_cache(self) -> None:
         """Invalidate the on-chip trusted-node cache (e.g. power event)."""
+        self.seal()
         self._trusted.clear()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _node_payload(self, level: int, node: int) -> List[int]:
-        return self._payloads.setdefault((level, node), [0] * COUNTERS_PER_LINE)
+    def _counter_slot(self, addr: int, level: int) -> Tuple[int, int]:
+        """(node, slot) of a counter, with its level and node checked.
+
+        Every public entry point goes through here, so the climbs
+        below, which index the level tables unchecked, never reach an
+        out-of-range node.
+        """
+        node, slot = self.geometry.counter_slot(addr, level)
+        if not 0 <= node < self.geometry.level_counts[level]:
+            raise ConfigError(
+                f"address {addr:#x} outside the tree at level {level}"
+            )
+        return node, slot
 
     def _verified_payload(self, level: int, node: int) -> List[int]:
         """Return the counters of a node after verifying its path to root."""
-        if level == self.geometry.root_level:
+        if level == self._root_level:
             return self._root
-        if self._trust_cache_enabled:
-            cached = self._trusted.get((level, node))
-            if cached is not None:
-                return cached
+        key = (level, node)
+        cached = self._trusted.get(key)
+        if cached is not None:
+            return cached
 
-        parent_level, parent_node = self.geometry.parent(level, node)
-        parent_payload = self._verified_payload(parent_level, parent_node)
-        freshness = parent_payload[self.geometry.child_slot(level, node)]
+        arity = self._arity
+        parent_payload = self._verified_payload(level + 1, node // arity)
+        freshness = parent_payload[node % arity]
 
-        payload = self._node_payload(level, node)
+        payload = self._payloads.setdefault(key, [0] * COUNTERS_PER_LINE)
         self.node_fetches += 1
-        stored_mac = self._macs.get((level, node))
-        addr = self.geometry.node_addr(level, node)
+        stored_mac = self._macs.get(key)
+        addr = self._node_bases[level] + node * CACHELINE_BYTES
         expected = node_mac(
             self.keys.mac_key, addr, freshness, pack_counters(payload)
         )
@@ -289,9 +372,9 @@ class CounterTree:
             raise IntegrityError(
                 f"MAC mismatch on tree node (level {level}, index {node})"
             )
-        if self._trust_cache_enabled:
-            self._trusted[(level, node)] = list(payload)
-        return self._trusted.get((level, node), list(payload))
+        trusted = list(payload)
+        self._trusted[key] = trusted
+        return trusted
 
     def _seals_older_state(
         self, addr: int, freshness: int, payload: List[int], stored_mac: bytes
@@ -314,65 +397,65 @@ class CounterTree:
     def _commit(
         self, level: int, node: int, payload: List[int], revive: bool = False
     ) -> None:
-        """Store a node payload and reseal the MAC chain up to the root.
+        """Store a node payload and bump the freshness chain to the root.
+
+        ``payload`` is a fresh list the tree keeps.  Changing a node's
+        contents bumps its freshness counter in the parent, which
+        changes the parent, and so on up to the (on-chip) root.  Each
+        node below the root is recorded in ``_unsealed`` at the point a
+        reseal would happen, after its parent's bump; a freshness
+        overflow raises before recording the node it stops at, so that
+        node keeps its old seal.
 
         ``revive=True`` tolerates pruned/stale *ancestors* on the climb
         (scale-down re-seals a whole chain whose intermediate nodes
         were pruned by an earlier promotion).
         """
-        # Changing this node's contents requires bumping its freshness
-        # counter in the parent, which in turn changes the parent, and
-        # so on up to the (on-chip) root.
-        self._payloads[(level, node)] = list(payload)
-        if self._trust_cache_enabled:
-            self._trusted[(level, node)] = list(payload)
-
-        current_level, current_node = level, node
-        while current_level < self.geometry.root_level:
-            parent_level, parent_node = self.geometry.parent(
-                current_level, current_node
-            )
-            slot = self.geometry.child_slot(current_level, current_node)
-            if parent_level == self.geometry.root_level:
+        payloads = self._payloads
+        trusted = self._trusted
+        unsealed = self._unsealed
+        root_level = self._root_level
+        arity = self._arity
+        payloads[(level, node)] = payload
+        trusted[(level, node)] = list(payload)
+        while level < root_level:
+            parent_level = level + 1
+            parent_node = node // arity
+            slot = node % arity
+            if parent_level == root_level:
                 parent_payload = self._root
             elif revive:
                 parent_payload = list(
                     self._revivable_payload(parent_level, parent_node)
                 )
             else:
-                parent_payload = self._verified_payload(parent_level, parent_node)
-                parent_payload = list(parent_payload)
+                parent_payload = list(
+                    self._verified_payload(parent_level, parent_node)
+                )
             if parent_payload[slot] >= _COUNTER_LIMIT:
                 raise CounterOverflowError(
                     f"freshness counter overflow at level {parent_level}"
                 )
             parent_payload[slot] += 1
+            if parent_level != root_level:
+                payloads[(parent_level, parent_node)] = parent_payload
+                trusted[(parent_level, parent_node)] = list(parent_payload)
+            unsealed[(level, node)] = None
+            level, node = parent_level, parent_node
 
-            if parent_level != self.geometry.root_level:
-                self._payloads[(parent_level, parent_node)] = list(parent_payload)
-                if self._trust_cache_enabled:
-                    self._trusted[(parent_level, parent_node)] = list(parent_payload)
-
-            # Reseal the child under its new freshness counter.
-            child_payload = self._payloads[(current_level, current_node)]
-            addr = self.geometry.node_addr(current_level, current_node)
-            self._macs[(current_level, current_node)] = node_mac(
-                self.keys.mac_key,
-                addr,
-                parent_payload[slot],
-                pack_counters(child_payload),
-            )
-            current_level, current_node = parent_level, parent_node
-
-    def _bump(self, level: int, node: int, slot: int) -> None:
+    def _bump(self, level: int, node: int, slot: int) -> int:
         payload = list(self._verified_payload(level, node))
         if payload[slot] >= self.counter_limit:
             raise CounterOverflowError(
                 f"counter overflow at level {level}, node {node}, slot {slot} "
                 f"(limit {self.counter_limit})"
             )
+        # A promoted counter (level > 0) is the freshness counter of a
+        # child the promoting switch sealed and pruned, so this bump
+        # never moves a pending seal.
         payload[slot] += 1
-        if level == self.geometry.root_level:
+        if level == self._root_level:
             self._root[slot] = payload[slot]
-            return
-        self._commit(level, node, payload)
+        else:
+            self._commit(level, node, payload)
+        return payload[slot]

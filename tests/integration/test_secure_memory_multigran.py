@@ -22,6 +22,29 @@ def stream_chunk(memory, base=0, data=CHUNK_DATA):
     memory.write(base, data)
 
 
+def count_calls(monkeypatch, names):
+    """Count calls of module globals, through the names a profiler wraps.
+
+    ``names`` maps a module attribute name to its owning module; the
+    returned counter fills as the wrapped functions are called.
+    """
+    counts = Counter()
+    for name, owner in names.items():
+        original = getattr(owner, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return counts
+
+
+def nothing_deferred(memory):
+    """No tree node waits for its seal and no coarse region is open."""
+    return memory._run is None and not memory.tree._unsealed
+
+
 class TestPromotion:
     def test_full_stream_promotes_to_chunk_granularity(self, memory):
         stream_chunk(memory)
@@ -101,21 +124,10 @@ class TestReadPath:
         from repro.crypto import otp
         from repro.secure_memory import engine
 
-        counts = Counter()
-
-        def count(owner, name):
-            original = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        count(engine, "compute_mac")
-        count(engine, "nested_mac")
-        count(otp, "generate_otp")
-        return counts
+        return count_calls(
+            monkeypatch,
+            {"compute_mac": engine, "nested_mac": engine, "generate_otp": otp},
+        )
 
     def test_64b_read_of_promoted_region_verifies_all_decrypts_one(
         self, memory, calls
@@ -155,6 +167,101 @@ class TestReadPath:
         with pytest.raises(QuarantineError):
             memory.read(0, 1024)
         assert memory.is_quarantined(0) and memory.is_quarantined(64 * 300)
+
+
+class TestWritePath:
+    """A write seals each changed tree node once and each coarse region
+    once per run of its lines, and nothing deferred outlives the call.
+    Calls are counted through the same module names as TestReadPath, plus
+    the tree's node-MAC import.
+    """
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        from repro.crypto import otp
+        from repro.secure_memory import engine
+        from repro.tree import integrity_tree
+
+        return count_calls(
+            monkeypatch,
+            {
+                "compute_mac": engine,
+                "nested_mac": engine,
+                "generate_otp": otp,
+                "node_mac": integrity_tree,
+            },
+        )
+
+    def test_fresh_chunk_write_seals_each_changed_node_once(self, keys, calls):
+        memory = SecureMemory(2 << 20, keys=keys, policy="fixed")
+        memory.write(0, CHUNK_DATA)
+        # 74 changed nodes (64 + 8 + 1 + 1 below the root): one verify
+        # of each pristine node and one seal each, not 4 seals per line.
+        assert calls["node_mac"] == 148
+        assert memory.tree.verifications == memory.tree.node_fetches == 74
+        assert memory.read(0, CHUNK_BYTES) == CHUNK_DATA
+
+    @pytest.mark.parametrize("size", [4096, CHUNK_BYTES])
+    def test_promoted_rewrite_opens_and_seals_the_region_once(
+        self, memory, calls, size
+    ):
+        stream_chunk(memory)
+        assert memory.granularity_of(0) == CHUNK_BYTES
+        before = memory.counter_value(0)
+        calls.clear()
+        memory.write(0, b"r" * size)
+        assert (calls["compute_mac"], calls["nested_mac"]) == (1024, 2)
+        assert calls["generate_otp"] == 1024
+        # The shared counter still advances once per line.
+        assert memory.counter_value(0) == before + size // 64
+        assert memory.read(0, CHUNK_BYTES) == b"r" * size + CHUNK_DATA[size:]
+
+    def test_switch_inside_a_run_reopens_the_sealed_region(self, memory):
+        memory.force_granularity(64 * 448, 4096)  # last 4 KB group only
+        # Lines 448-510 ride one open run; line 511 fills the tracker
+        # entry and scales the chunk up to 32 KB, which re-opens that
+        # group from off-chip: the run must be sealed first.
+        stream_chunk(memory)
+        assert memory.granularity_of(0) == CHUNK_BYTES
+        assert nothing_deferred(memory)
+        assert memory.read(0, CHUNK_BYTES) == CHUNK_DATA
+
+    def test_nothing_deferred_after_a_write_returns(self, memory):
+        stream_chunk(memory)
+        memory.write(64 * 500, b"s" * 64 * 24)  # promoted run, then fine
+        assert nothing_deferred(memory)
+        memory.tree.drop_trust_cache()  # every seal verifies off-chip
+        assert memory.read(64 * 500, 64 * 24) == b"s" * 64 * 24
+
+    def test_nothing_deferred_after_an_overflow_mid_run(self, keys):
+        memory = SecureMemory(REGION, keys=keys, counter_bits=6)
+        stream_chunk(memory)
+        # 512 bumps of a 6-bit counter: the tree raises overflow inside
+        # the run, which is sealed before the chunk is re-encrypted.
+        memory.write(0, b"o" * CHUNK_BYTES)
+        assert memory.events.get("counter_overflows") >= 1
+        assert memory.key_epoch(0) >= 1
+        assert nothing_deferred(memory)
+        memory.tree.drop_trust_cache()
+        assert memory.read(0, CHUNK_BYTES) == b"o" * CHUNK_BYTES
+
+    def test_nothing_deferred_after_a_tamper_raises(self, memory):
+        stream_chunk(memory)
+        stream_chunk(memory, base=CHUNK_BYTES)
+        memory.tamper_data(CHUNK_BYTES + 64 * 7)
+        with pytest.raises(IntegrityError):
+            memory.write(CHUNK_BYTES - 64 * 4, b"t" * 64 * 8)
+        assert nothing_deferred(memory)
+        memory.tree.drop_trust_cache()
+        assert memory.read(CHUNK_BYTES - 64 * 4, 64 * 4) == b"t" * 64 * 4
+
+    def test_tamper_between_two_writes_caught_by_the_second(self, memory):
+        stream_chunk(memory)
+        memory.write(0, b"1" * 64 * 8)
+        memory.tamper_data(64 * 200)
+        with pytest.raises(IntegrityError):
+            memory.write(64 * 8, b"2" * 64 * 8)
+        assert nothing_deferred(memory)
 
 
 class TestSwitchAccounting:
