@@ -56,10 +56,13 @@ bytes) at the run's first line, its shared counter is still incremented
 once per line, and its lines are encrypted and its merged MAC stored
 once, when the run ends -- at the next region, before a switch, first
 thing in the overflow and integrity handlers, and when the call returns
-or raises.  Nothing deferred outlives the call: a write's first touch
-of a region always verifies it, a tamper staged between two writes is
-caught by the second, and the state after each call is the one
-resealing every line leaves.
+or raises.  A scale-up switch that a write triggers starts the run
+itself, from the plaintexts it has just verified against the span's
+current off-chip bytes, instead of sealing the new region for the
+triggering line to open it again.  Nothing deferred outlives the call:
+a write's first touch of a region always verifies it, a tamper staged
+between two writes is caught by the second, and the state after each
+call is the one resealing every line leaves.
 
 The timing layer in :mod:`repro.schemes` shares the same core logic but
 only counts.
@@ -345,6 +348,12 @@ class SecureMemory:
             self._write_line_at(line_addr, payload, granularity)
         except CounterOverflowError:
             self._close_run()
+            level = granularity_level(granularity)
+            region_base = align_down(line_addr, granularity)
+            if self.tree.read_counter(region_base, level) < self.tree.counter_limit:
+                # A freshness counter overflowed on the tree climb:
+                # re-keying the data cannot lower it.
+                raise
             self.events.bump("counter_overflows")
             if self.tracer:
                 self.tracer.emit(
@@ -354,6 +363,15 @@ class SecureMemory:
                     addr=line_addr,
                 )
             self._reencrypt_chunk(chunk_base(line_addr))
+            bits = self._current_bits(line_addr)
+            if level == 0 and not self.has_mac(
+                addressing.mac_addr(self.geometry, bits, line_addr)
+            ):
+                # The re-encryption carried no seal of this line (a heal
+                # of a line revived by quarantine, or a deleted MAC), so
+                # its counter restarts under the new epoch; this write
+                # seals it at once, so it never reads as pristine.
+                self.tree.set_counter(line_addr, 0, 0)
             self._write_line_at(line_addr, payload, granularity)
         except (IntegrityError, ReplayError) as exc:
             self._close_run()
@@ -837,9 +855,15 @@ class SecureMemory:
         regions *outside* the span (Eq. 1 indexes depend on the whole
         chunk bitmap), so their stored MACs are relocated from the
         old-bitmap addresses to the new ones.
+
+        A scale-up triggered by a write does not seal its one new
+        region: the triggering line lands in it, so the switch hands it
+        over as the write's open run (module docstring), to be sealed
+        once when that run ends.
         """
         span = max(event.old_granularity, event.new_granularity)
         span_base = align_down(event.addr, span)
+        hand_off = event.is_write and event.scale_up
         old_layout = list(self._iter_subregions(span_base, span, event.old_bits))
 
         # Pass 1: open every sub-region under its old seal.
@@ -881,10 +905,13 @@ class SecureMemory:
 
         # MACs of the chunk's other regions move when compaction
         # indices shift; pop them under the old layout now, re-insert
-        # under the new layout after the span is resealed.
-        outside = self._pop_chunk_macs(
-            chunk_b, event.old_bits, skip_base=span_base, skip_size=span
-        )
+        # under the new layout after the span is resealed.  A span that
+        # covers the whole chunk leaves no other region to move.
+        outside = []
+        if span < CHUNK_BYTES:
+            outside = self._pop_chunk_macs(
+                chunk_b, event.old_bits, skip_base=span_base, skip_size=span
+            )
 
         # Pass 2: reseal every sub-region under its new granularity.
         fresh_macs = set()
@@ -893,9 +920,10 @@ class SecureMemory:
             self.tree.set_counter(sub, level, shared, revive=True)
             if level > 0:
                 self.tree.prune_subtree(sub, level)
-            first_line = (sub - span_base) // CACHELINE_BYTES
-            lines = plaintexts[first_line : first_line + sub_g // CACHELINE_BYTES]
-            self._seal_region(sub, sub_g, shared, lines, event.new_bits)
+            if not hand_off:
+                first_line = (sub - span_base) // CACHELINE_BYTES
+                lines = plaintexts[first_line : first_line + sub_g // CACHELINE_BYTES]
+                self._seal_region(sub, sub_g, shared, lines, event.new_bits)
             fresh_macs.add(
                 addressing.mac_addr(self.geometry, event.new_bits, sub)
             )
@@ -905,6 +933,13 @@ class SecureMemory:
             self._macs.pop(mac_addr, None)
 
         self._reinsert_macs(outside, event.new_bits)
+        if hand_off:
+            # Last, so a failed attempt never leaves a run open.  If the
+            # write's line does not join it, ``_close_run`` seals it
+            # exactly as the loop above would have.
+            self._run = _OpenRun(
+                span_base, span, event.new_bits, shared, plaintexts
+            )
 
     # ------------------------------------------------------------------
     # Chunk-wide MAC relocation helpers

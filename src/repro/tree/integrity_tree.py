@@ -401,47 +401,56 @@ class CounterTree:
 
         ``payload`` is a fresh list the tree keeps.  Changing a node's
         contents bumps its freshness counter in the parent, which
-        changes the parent, and so on up to the (on-chip) root.  Each
-        node below the root is recorded in ``_unsealed`` at the point a
-        reseal would happen, after its parent's bump; a freshness
-        overflow raises before recording the node it stops at, so that
-        node keeps its old seal.
+        changes the parent, and so on up to the (on-chip) root.  The
+        whole climb is read and checked first and stored only once it
+        is known to succeed, so a freshness overflow (or an ancestor
+        that fails verification) leaves every node as it was.  Each
+        node below the root is then recorded in ``_unsealed`` after its
+        parent's bump, the order a reseal on every update would seal in.
 
         ``revive=True`` tolerates pruned/stale *ancestors* on the climb
         (scale-down re-seals a whole chain whose intermediate nodes
         were pruned by an earlier promotion).
         """
-        payloads = self._payloads
-        trusted = self._trusted
-        unsealed = self._unsealed
         root_level = self._root_level
         arity = self._arity
-        payloads[(level, node)] = payload
-        trusted[(level, node)] = list(payload)
+        trusted = self._trusted
+        climb = []
+        key = (level, node)
         while level < root_level:
-            parent_level = level + 1
-            parent_node = node // arity
             slot = node % arity
-            if parent_level == root_level:
+            level += 1
+            node //= arity
+            parent = (level, node)
+            if level == root_level:
                 parent_payload = self._root
             elif revive:
-                parent_payload = list(
-                    self._revivable_payload(parent_level, parent_node)
-                )
+                parent_payload = self._revivable_payload(level, node)
             else:
-                parent_payload = list(
-                    self._verified_payload(parent_level, parent_node)
+                # ``_verified_payload``'s cache hit, without the call.
+                parent_payload = trusted.get(parent) or self._verified_payload(
+                    level, node
                 )
             if parent_payload[slot] >= _COUNTER_LIMIT:
                 raise CounterOverflowError(
-                    f"freshness counter overflow at level {parent_level}"
+                    f"freshness counter overflow at level {level}"
                 )
-            parent_payload[slot] += 1
-            if parent_level != root_level:
-                payloads[(parent_level, parent_node)] = parent_payload
-                trusted[(parent_level, parent_node)] = list(parent_payload)
-            unsealed[(level, node)] = None
-            level, node = parent_level, parent_node
+            climb.append((parent, parent_payload, slot))
+
+        payloads = self._payloads
+        unsealed = self._unsealed
+        payloads[key] = payload
+        trusted[key] = list(payload)
+        for parent, parent_payload, slot in climb:
+            if parent[0] == root_level:
+                parent_payload[slot] += 1
+            else:
+                bumped = list(parent_payload)
+                bumped[slot] += 1
+                payloads[parent] = bumped
+                trusted[parent] = list(bumped)
+            unsealed[key] = None
+            key = parent
 
     def _bump(self, level: int, node: int, slot: int) -> int:
         payload = list(self._verified_payload(level, node))

@@ -201,6 +201,33 @@ class TestWritePath:
         assert memory.tree.verifications == memory.tree.node_fetches == 74
         assert memory.read(0, CHUNK_BYTES) == CHUNK_DATA
 
+    def test_fresh_chunk_put_seals_the_promoted_region_once(self, memory, calls):
+        memory.write(0, CHUNK_DATA)
+        assert memory.granularity_of(0) == CHUNK_BYTES
+        # 511 fine lines are sealed, then opened by the scale-up at the
+        # 512th; the promoted region is sealed once, when the write's
+        # run ends, not by the switch and again by the run.
+        assert calls["generate_otp"] == calls["compute_mac"] == 1534
+        assert calls["nested_mac"] == 1
+        assert memory.counter_value(0) == 3
+        assert nothing_deferred(memory)
+        assert memory.read(0, CHUNK_BYTES) == CHUNK_DATA
+
+    def test_overflow_in_the_handed_off_region_seals_it_first(self, keys):
+        memory = SecureMemory(REGION, keys=keys, counter_bits=6)
+        for _ in range(61):
+            memory.write(0, b"\x01" * 64)
+        # The stream takes line 0 to 62, so the scale-up's shared counter
+        # is 63, the limit: the 512th line's bump overflows before it
+        # joins the region the switch left open, and the overflow
+        # handler must seal that region as the switch used to.
+        stream_chunk(memory)
+        assert memory.events.get("counter_overflows") == 1
+        assert (memory.key_epoch(0), memory.counter_value(0)) == (1, 2)
+        assert nothing_deferred(memory)
+        memory.tree.drop_trust_cache()
+        assert memory.read(0, CHUNK_BYTES) == CHUNK_DATA
+
     @pytest.mark.parametrize("size", [4096, CHUNK_BYTES])
     def test_promoted_rewrite_opens_and_seals_the_region_once(
         self, memory, calls, size

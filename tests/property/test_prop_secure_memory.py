@@ -4,7 +4,8 @@ A plain dict is the reference; random interleavings of aligned writes,
 reads and granularity-affecting streams must always agree with it, and
 any single off-chip mutation must be detected by the next covering
 read.  A multi-line write must also leave exactly the state that
-writing its lines one call at a time leaves.
+writing its lines one call at a time leaves, and after a quarantine a
+fresh write of every healable line must succeed.
 """
 
 from hypothesis import example, given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.common.constants import CACHELINE_BYTES, CHUNK_BYTES
-from repro.common.errors import CounterOverflowError, SecurityError
+from repro.common.errors import CounterOverflowError, QuarantineError, SecurityError
 from repro.crypto.keys import KeySet
 from repro.secure_memory import SecureMemory
 
@@ -248,6 +249,13 @@ class TestSplitWriteEquivalence:
             ("write", 0, 16, 3),
         ],
     )
+    # The stream's scale-up lands the shared counter on the 6-bit limit,
+    # so the triggering line's bump overflows inside the run the switch
+    # handed over: the overflow handler must seal it as the switch would.
+    @example(
+        "multigranular", "raise", 6,
+        [("write", 0, 1, 1)] * 61 + [("stream", 0, 2)],
+    )
     def test_one_write_matches_line_by_line_writes(
         self, policy, failure_policy, counter_bits, history
     ):
@@ -263,3 +271,56 @@ class TestSplitWriteEquivalence:
                 split, op, split_write
             ), op
             assert engine_state(whole) == engine_state(split), op
+
+
+# -- after a quarantine, a fresh write heals every healable line -------------
+
+
+class TestHealLiveness:
+    """A quarantine revives each line's counter at the region's shared
+    value, which may sit at the counter limit; a fresh write of every
+    healable line must still succeed and read back.  The equivalence
+    property above cannot see a heal that never succeeds: a one-call and
+    a line-by-line write fail alike."""
+
+    @settings(max_examples=3, deadline=None)
+    @given(
+        st.integers(min_value=4, max_value=8),
+        st.sampled_from([512, 4096, CHUNK_BYTES, "stream"]),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=CHUNK_BYTES // CACHELINE_BYTES - 1),
+        st.sampled_from([1, 3, 8]),
+    )
+    # Stream a chunk, write 60 more lines (shared counter 63, the 6-bit
+    # limit), tamper line 0, heal three lines per write.
+    @example(6, "stream", 0, 0, 3)
+    def test_every_healable_line_heals(
+        self, counter_bits, promotion, headroom, victim, lines_per_write
+    ):
+        memory = SecureMemory(
+            SPLIT_REGION, keys=KEYS, failure_policy="quarantine",
+            counter_bits=counter_bits,
+        )
+        if promotion == "stream":
+            memory.write(0, bytes([1]) * CHUNK_BYTES)
+        else:
+            memory.force_granularity(0, promotion)
+        size = memory.granularity_of(0)
+        target = (1 << counter_bits) - 1 - headroom
+        # Each line of one write bumps the shared counter once.
+        while memory.counter_value(0) < target:
+            bumps = min(size // CACHELINE_BYTES, target - memory.counter_value(0))
+            memory.write(0, bytes([2]) * (bumps * CACHELINE_BYTES))
+        victim_addr = victim * CACHELINE_BYTES % size
+        memory.tamper_data(victim_addr)
+        with pytest.raises(QuarantineError):
+            memory.read(victim_addr, CACHELINE_BYTES)
+        assert memory.quarantined_lines() == list(range(0, size, CACHELINE_BYTES))
+
+        data = bytes(range(256)) * (size // 256)
+        step = lines_per_write * CACHELINE_BYTES
+        for addr in range(0, size, step):
+            memory.write(addr, data[addr : addr + step])
+        assert memory.quarantined_lines() == []
+        memory.tree.drop_trust_cache()
+        assert memory.read(0, size) == data

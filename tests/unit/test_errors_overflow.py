@@ -4,19 +4,31 @@ The default 64-bit counters never overflow in practice, so these tests
 configure *narrow* counters to make exhaustion reachable and check
 both halves of the contract: the tree refuses to wrap (pad safety),
 and the engine recovers by re-encrypting the chunk under a fresh key
-epoch instead of dying.
+epoch instead of dying.  A freshness counter of the tree, which a new
+epoch cannot lower, is pinned at its 64-bit limit instead.
 """
 
 import pytest
 
 from repro.common.constants import CACHELINE_BYTES, CHUNK_BYTES
-from repro.common.errors import CounterOverflowError, SecurityError
+from repro.common.errors import CounterOverflowError, QuarantineError, SecurityError
 from repro.crypto.keys import KeySet
 from repro.secure_memory import FailurePolicy, SecureMemory
 from repro.tree.geometry import TreeGeometry
 from repro.tree.integrity_tree import CounterTree
 
 REGION = 256 * 1024
+
+
+def pin_root_counter(tree, addr, value):
+    """Set the on-chip root counter above ``addr`` and reseal its child
+    under it, so the tree verifies as if ``value`` updates had reached
+    that child (64-bit freshness counters never get there otherwise)."""
+    root_level = tree.geometry.root_level
+    tree.set_counter(addr, root_level, value)
+    child, _ = tree.geometry.counter_slot(addr, root_level - 1)
+    tree._unsealed[(root_level - 1, child)] = None
+    tree.seal()
 
 
 class TestTreeOverflow:
@@ -35,6 +47,18 @@ class TestTreeOverflow:
             tree.increment_counter(0, level=0)
         # The failed increment must not have moved the counter.
         assert tree.read_counter(0, level=0) == 2
+
+    def test_freshness_overflow_stores_nothing(self, keys):
+        tree = CounterTree(TreeGeometry.build(REGION), keys)
+        tree.increment_counter(0, level=0)
+        pin_root_counter(tree, 0, 2**64 - 1)
+        tree.drop_trust_cache()
+        with pytest.raises(CounterOverflowError):
+            tree.increment_counter(0, level=0)
+        # The whole climb is checked first: the leaf and every node
+        # below the root keep their value and their seal.
+        tree.drop_trust_cache()
+        assert tree.read_counter(0, level=0) == 1
 
     @pytest.mark.parametrize("limit", [0, 1, 2**64])
     def test_limit_validation(self, keys, limit):
@@ -107,6 +131,47 @@ class TestEngineOverflowRecovery:
             mem.write(0, payload)
             ciphertexts.add(mem.dram.snapshot_line(0))
         assert len(ciphertexts) == 20
+
+    def test_heal_write_at_the_counter_limit_succeeds(self, keys):
+        mem = SecureMemory(
+            1 << 20, keys=keys, failure_policy="quarantine", counter_bits=6
+        )
+        mem.write(0, b"\x11" * CHUNK_BYTES)  # promotes the chunk to 32KB
+        for i in range(60):
+            mem.write(i * CACHELINE_BYTES, b"\x22" * CACHELINE_BYTES)
+        assert mem.counter_value(0) == 63  # the 6-bit limit
+        mem.tamper_data(0)
+        with pytest.raises(QuarantineError):
+            mem.read(0, CACHELINE_BYTES)
+        # The quarantine revived every line's counter at 63: healing a
+        # line overflows, and the re-keying must not skip that line.
+        mem.write(0, b"\x33" * 192)
+        mem.tree.drop_trust_cache()
+        assert mem.read(0, 192) == b"\x33" * 192
+        assert mem.is_quarantined(192) and not mem.is_quarantined(128)
+
+    def test_write_over_a_deleted_mac_at_the_counter_limit(self, keys):
+        mem = SecureMemory(REGION, keys=keys, policy="fixed", counter_bits=3)
+        for i in range(7):
+            mem.write(0, bytes([i + 1]) * CACHELINE_BYTES)
+        mem.delete_mac(0)
+        mem.write(0, b"\x44" * CACHELINE_BYTES)
+        assert mem.read(0, CACHELINE_BYTES) == b"\x44" * CACHELINE_BYTES
+
+    def test_freshness_overflow_is_not_rekeyed(self, keys):
+        mem = SecureMemory(1 << 20, keys=keys)
+        mem.write(0, b"\x55" * CACHELINE_BYTES)
+        mem.write(64 * CACHELINE_BYTES, b"\x66" * CACHELINE_BYTES)
+        pin_root_counter(mem.tree, 0, 2**64 - 1)
+        mem.tree.drop_trust_cache()
+        # A new key epoch cannot lower a freshness counter: the write
+        # fails and leaves the data, its counters and the epoch alone.
+        with pytest.raises(CounterOverflowError):
+            mem.write(0, b"\x77" * CACHELINE_BYTES)
+        mem.tree.drop_trust_cache()
+        assert mem.read(0, CACHELINE_BYTES) == b"\x55" * CACHELINE_BYTES
+        assert mem.read(64 * CACHELINE_BYTES, CACHELINE_BYTES) == b"\x66" * 64
+        assert mem.key_epoch(0) == 0
 
     def test_detection_still_works_after_reencryption(self, keys):
         mem = SecureMemory(REGION, keys=keys, counter_bits=3)
