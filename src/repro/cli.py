@@ -19,22 +19,16 @@ Commands:
   seeded streams through the engine and the naive reference model,
   diff every observable (``--quick`` for CI, ``--deep`` nightly);
 * ``chaos``       -- execution-chaos harness: inject worker crashes,
-  hangs, lost results and journal damage into supervised sweeps and
-  campaigns, asserting payloads stay byte-identical to a clean run
-  (``--mode fabric`` runs the multi-claimant lease-protocol story
+  hangs, lost results and checkpoint-store damage into supervised
+  sweeps and campaigns, asserting payloads stay byte-identical to a
+  clean run (``--mode daemon`` runs the daemon kill-restart story
   instead);
-* ``fabric``      -- distributed campaign fabric plumbing: ``worker``
-  joins a spooled work-queue as an extra claimant, ``status`` shows
-  lease/commit progress, ``drain`` reclaims expired leases and
-  finishes the queue serially (see ``docs/fabric.md``);
 * ``gc``          -- prune old ``runs/<id>/`` directories and
   orphaned result-store blobs.
 
 Fan-out commands (``simulate``, ``experiment``, ``report``, ``faults``)
 accept the resilience flags ``--timeout``, ``--retries``, ``--run-id``,
-``--resume`` and ``--runs-dir`` (see ``docs/resilience.md``);
-``experiment`` and ``faults`` additionally take ``--workers N`` to
-execute their fan-out through N fabric worker processes.
+``--resume`` and ``--runs-dir`` (see ``docs/resilience.md``).
 """
 
 from __future__ import annotations
@@ -67,25 +61,18 @@ def _supervisor(args: argparse.Namespace):
     """Build the run's Supervisor from the resilience flags (or None).
 
     ``None`` leaves the ambient default in force (supervised, no
-    journal; ``REPRO_EXEC=plain`` opts out entirely).  Any explicit
-    flag -- ``--run-id``, ``--resume``, ``--timeout``, ``--retries``,
-    ``--workers`` -- pins an explicit supervisor for the whole command;
-    ``--run-id``/``--resume`` turn on the checkpoint journal under
-    ``--runs-dir`` (see docs/resilience.md), and ``--workers N`` routes
-    every fan-out through the distributed fabric with N leased worker
-    processes (see docs/fabric.md).
+    checkpoint; ``REPRO_EXEC=plain`` opts out entirely).  Any explicit
+    flag -- ``--run-id``, ``--resume``, ``--timeout``, ``--retries`` --
+    pins an explicit supervisor for the whole command; ``--run-id`` and
+    ``--resume`` (the same thing) checkpoint every task in the result
+    store under ``--runs-dir`` (see docs/resilience.md).
     """
     from repro.sim.resilient import ResiliencePolicy, Supervisor
 
-    resume_id = getattr(args, "resume", None)
-    run_id = resume_id or getattr(args, "run_id", None)
+    run_id = getattr(args, "resume", None) or getattr(args, "run_id", None)
     timeout = getattr(args, "timeout", None)
     retries = getattr(args, "retries", None)
-    workers = getattr(args, "workers", None)
-    if (
-        run_id is None and timeout is None and retries is None
-        and workers is None
-    ):
+    if run_id is None and timeout is None and retries is None:
         return None
     policy = ResiliencePolicy(
         timeout_seconds=timeout,
@@ -94,10 +81,7 @@ def _supervisor(args: argparse.Namespace):
     return Supervisor(
         policy=policy,
         run_id=run_id,
-        resume=resume_id is not None,
         runs_dir=getattr(args, "runs_dir", None),
-        fabric_workers=workers,
-        lease_ttl=getattr(args, "lease_ttl", None),
     )
 
 
@@ -106,17 +90,10 @@ def _supervised(args: argparse.Namespace):
     from repro.sim.resilient import supervision
 
     supervisor = _supervisor(args)
-    if supervisor is not None and supervisor.fabric_workers is not None:
-        print(
-            f"[fabric] run {supervisor.run_id}: "
-            f"{supervisor.fabric_workers} workers, "
-            f"store {supervisor.store_dir()}",
-            file=sys.stderr,
-        )
-    elif supervisor is not None and supervisor.journaling:
+    if supervisor is not None and supervisor.checkpointing:
         print(
             f"[resilient] run {supervisor.run_id} "
-            f"(journal: {supervisor.run_dir()})",
+            f"(store: {supervisor.store_dir()})",
             file=sys.stderr,
         )
     return supervision(supervisor)
@@ -325,7 +302,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Execution-chaos harness: fail unless payloads stay byte-identical."""
-    from repro.faults.exec_chaos import run_chaos, run_fabric_chaos
+    from repro.faults.exec_chaos import run_chaos
 
     if args.mode == "daemon":
         from repro.service.chaos import run_daemon_chaos
@@ -337,17 +314,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             engines=args.engines,
             kills=args.kills,
             progress=lambda line: print(line, file=sys.stderr),
-        )
-        print(report.format())
-        return 0 if report.passed else 1
-
-    if args.mode == "fabric":
-        report = run_fabric_chaos(
-            seed=args.seed,
-            crash_rate=args.crash_rate,
-            workers=args.workers,
-            runs_dir=args.runs_dir,
-            echo=lambda line: print(line, file=sys.stderr),
         )
         print(report.format())
         return 0 if report.passed else 1
@@ -368,84 +334,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     print(report.format())
     return 0 if report.passed else 1
-
-
-def _fabric_store(args: argparse.Namespace, queue_root) -> "object":
-    """Resolve the result store for a fabric verb.
-
-    Defaults to the ``store/`` sibling of the queue's runs dir (the
-    layout ``fabric_map`` spools: ``<runs-dir>/<run-id>/fabric/<q>``)
-    unless ``--store`` pins it.
-    """
-    from pathlib import Path
-
-    from repro.sim.fabric import ResultStore, default_store_dir
-
-    if args.store is not None:
-        return ResultStore(args.store)
-    queue_root = Path(queue_root)
-    if len(queue_root.resolve().parents) < 3:
-        raise SystemExit("cannot infer the store from --queue; pass --store")
-    return ResultStore(default_store_dir(queue_root.resolve().parents[2]))
-
-
-def cmd_fabric(args: argparse.Namespace) -> int:
-    """Fabric plumbing verbs: ``worker``, ``status``, ``drain``."""
-    from pathlib import Path
-
-    from repro.sim import fabric
-
-    if args.verb == "worker":
-        queue = fabric.LeaseQueue.attach(args.queue)
-        store = _fabric_store(args, args.queue)
-        import os
-        import uuid
-
-        worker_id = (
-            args.worker_id or f"cli-{os.getpid()}-{uuid.uuid4().hex[:6]}"
-        )
-        print(f"[fabric] worker {worker_id} joining {queue.root}",
-              file=sys.stderr)
-        committed = fabric.run_worker(queue, store, worker_id)
-        print(f"[fabric] worker {worker_id} done: {committed} committed",
-              file=sys.stderr)
-        return 0
-
-    if args.verb == "drain":
-        queue = fabric.LeaseQueue.attach(args.queue)
-        store = _fabric_store(args, args.queue)
-        freed = queue.drain_expired("drain")
-        committed = fabric.run_worker(queue, store, "drain")
-        print(
-            f"[fabric] drained {queue.root}: {len(freed)} expired leases "
-            f"reclaimed, {committed} tasks finished serially"
-        )
-        return 0
-
-    # status
-    from repro.sim.fabric import ResultStore, default_store_dir
-    from repro.sim.resilient import default_runs_dir
-
-    runs_dir = Path(args.runs_dir) if args.runs_dir else default_runs_dir()
-    store = ResultStore(
-        args.store if args.store is not None else default_store_dir(runs_dir)
-    )
-    run_dirs = (
-        [runs_dir / args.run_id]
-        if args.run_id
-        else sorted(
-            path for path in runs_dir.glob("*")
-            if path.is_dir() and path.name != "store"
-        )
-    )
-    statuses = []
-    for run_dir in run_dirs:
-        for queue in fabric.fabric_queues(run_dir):
-            status = fabric.queue_status(queue, store)
-            status["queue"] = f"{run_dir.name}/{status['queue']}"
-            statuses.append(status)
-    print(fabric.format_status(statuses))
-    return 0
 
 
 def cmd_gc(args: argparse.Namespace) -> int:
@@ -827,34 +715,19 @@ def build_parser() -> argparse.ArgumentParser:
         )
         group.add_argument(
             "--run-id", default=None, metavar="ID",
-            help="name this run and journal every completed task under "
-            "<runs-dir>/<ID>/ for later --resume",
+            help="name this run and checkpoint every completed task in "
+            "the result store under <runs-dir>/store; tasks already "
+            "there are reused, not re-executed",
         )
         group.add_argument(
             "--resume", default=None, metavar="ID",
-            help="resume run ID: skip tasks its journal already records "
-            "(output stays byte-identical to an uninterrupted run)",
+            help="same as --run-id ID: reuse every stored task and run "
+            "the rest (output stays byte-identical to an uninterrupted "
+            "run)",
         )
         group.add_argument(
             "--runs-dir", default=None, metavar="DIR",
-            help="journal root (default: REPRO_RUNS_DIR or ./runs)",
-        )
-
-    def add_fabric_flags(p: argparse.ArgumentParser) -> None:
-        group = p.add_argument_group(
-            "fabric", "distributed leased execution (see docs/fabric.md)"
-        )
-        group.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="execute the fan-out through N fabric worker processes "
-            "claiming leases from a spooled work-queue; results land in "
-            "the content-addressed store under <runs-dir>/store and are "
-            "reused byte-identically on re-runs",
-        )
-        group.add_argument(
-            "--lease-ttl", type=float, default=None, metavar="SECONDS",
-            help="lease heartbeat TTL before a dead worker's task is "
-            "stolen (default 30)",
+            help="checkpoint root (default: REPRO_RUNS_DIR or ./runs)",
         )
 
     p_list = sub.add_parser("list", help="enumerate library contents")
@@ -895,7 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_jobs_flag(p_exp)
     add_resilience_flags(p_exp)
-    add_fabric_flags(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_rep = sub.add_parser("report", help="regenerate all artifacts")
@@ -925,25 +797,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_flt.add_argument("--json", default=None, help="also write JSON results")
     add_jobs_flag(p_flt)
     add_resilience_flags(p_flt)
-    add_fabric_flags(p_flt)
     p_flt.set_defaults(func=cmd_faults)
 
     p_cha = sub.add_parser(
         "chaos",
         help="execution-chaos harness: crash/hang/lose workers, damage "
-        "journals, assert byte-identical payloads",
+        "checkpoint blobs, assert byte-identical payloads",
     )
     p_cha.add_argument(
-        "--mode", choices=["exec", "fabric", "daemon"], default="exec",
-        help="exec: pool-executor chaos story (default); fabric: "
-        "multi-claimant lease-protocol races (worker deaths, stale "
-        "heartbeats, torn results) against the distributed fabric; "
+        "--mode", choices=["exec", "daemon"], default="exec",
+        help="exec: pool-executor chaos story (default); "
         "daemon: SIGKILL the service daemon mid-fleet, restart from "
         "--state-dir, assert byte-identical tenant digests",
-    )
-    p_cha.add_argument(
-        "--workers", type=int, default=3, metavar="N",
-        help="fabric worker processes for --mode fabric (default 3)",
     )
     p_cha.add_argument(
         "--tenants", type=int, default=6,
@@ -979,51 +844,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cha.add_argument("--schemes", default="conventional,ours")
     p_cha.add_argument(
         "--runs-dir", default=None,
-        help="journal root for the kill+resume sections "
+        help="checkpoint root for the kill+resume and store sections "
         "(default: a temp dir, removed afterwards)",
     )
     p_cha.add_argument("--skip-sweep", action="store_true")
     p_cha.add_argument("--skip-campaign", action="store_true")
     add_jobs_flag(p_cha)
     p_cha.set_defaults(func=cmd_chaos)
-
-    p_fab = sub.add_parser(
-        "fabric",
-        help="distributed campaign fabric: join, inspect or drain a "
-        "leased work-queue (see docs/fabric.md)",
-    )
-    fab_sub = p_fab.add_subparsers(dest="verb", required=True)
-    p_fw = fab_sub.add_parser(
-        "worker",
-        help="join a spooled queue as an extra claimant until it drains",
-    )
-    p_fw.add_argument(
-        "--queue", required=True, metavar="DIR",
-        help="queue root: <runs-dir>/<run-id>/fabric/<queue-id>",
-    )
-    p_fw.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="result store (default: the queue's <runs-dir>/store)",
-    )
-    p_fw.add_argument("--worker-id", default=None, metavar="ID")
-    p_fw.set_defaults(func=cmd_fabric)
-    p_fs = fab_sub.add_parser(
-        "status", help="lease/commit progress of every queue under a run"
-    )
-    p_fs.add_argument("--runs-dir", default=None, metavar="DIR")
-    p_fs.add_argument(
-        "--run-id", default=None, metavar="ID",
-        help="limit to one run (default: every run under --runs-dir)",
-    )
-    p_fs.add_argument("--store", default=None, metavar="DIR")
-    p_fs.set_defaults(func=cmd_fabric)
-    p_fd = fab_sub.add_parser(
-        "drain",
-        help="reclaim expired leases and finish the queue serially",
-    )
-    p_fd.add_argument("--queue", required=True, metavar="DIR")
-    p_fd.add_argument("--store", default=None, metavar="DIR")
-    p_fd.set_defaults(func=cmd_fabric)
 
     p_gc = sub.add_parser(
         "gc",

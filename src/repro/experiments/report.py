@@ -91,7 +91,7 @@ def generate_report(
 
     # When the report ran under an explicit supervisor (--run-id,
     # --resume, --timeout), surface what the executor survived: a
-    # resumed report should *say* how much work the journal saved.
+    # resumed report should *say* how much work the store saved.
     from repro.sim.resilient import current_supervisor
 
     supervisor = current_supervisor()

@@ -11,7 +11,7 @@ that every mutation is *detected* (the right ``SecurityError``), never
 * :mod:`repro.faults.campaign` -- the sweep runner behind
   ``python -m repro faults``.
 * :mod:`repro.faults.exec_chaos` -- seeded chaos against the *executor*
-  (worker crashes, hangs, journal damage) behind
+  (worker crashes, hangs, checkpoint-store damage) behind
   ``python -m repro chaos``.
 """
 

@@ -92,10 +92,10 @@ class CellResult:
     status: str = "ok"
     error: str = ""
     #: Exception class and traceback digest of an error cell's failure.
-    #: Journaled with the payload so ``--resume`` (and the fabric's
-    #: warm store) can tell a *deterministic* task error -- same class,
-    #: same traceback digest: skip the cell -- from an infrastructure
-    #: death, which journals nothing and is simply re-leased.
+    #: Checkpointed with the payload, so a resumed run reuses a
+    #: *deterministic* task error -- same class, same traceback digest
+    #: -- instead of re-executing the cell; an infrastructure death
+    #: commits nothing and the cell simply runs again.
     error_class: str = ""
     traceback_digest: str = ""
 
@@ -493,7 +493,7 @@ def run_campaign(
     canonical order either way, so the coverage matrix and JSON dump
     are byte-identical to a serial campaign.  An ambient supervisor
     (:func:`repro.sim.resilient.supervision`) adds per-cell timeouts,
-    retries, and -- when journaling -- checkpoint/resume keyed by the
+    retries, and -- with a run id -- checkpoint/resume keyed by the
     cell coordinates.
 
     A cell whose trial machinery raises is recorded with
@@ -508,17 +508,20 @@ def run_campaign(
         f"{attack}:{policy}:{mode}:{granularity}"
         for (_, attack, policy, mode, granularity) in specs
     ]
-    context = json.dumps(
-        {
-            "seed": config.seed,
-            "trials": config.trials,
-            "region_bytes": config.region_bytes,
-            "granularities": list(config.granularities),
-            "policies": list(config.policies),
-            "failure_modes": list(config.failure_modes),
-            "attacks": list(config.attacks),
-        },
-        sort_keys=True,
-    )
+
+    def context() -> str:
+        return json.dumps(
+            {
+                "seed": config.seed,
+                "trials": config.trials,
+                "region_bytes": config.region_bytes,
+                "granularities": list(config.granularities),
+                "policies": list(config.policies),
+                "failure_modes": list(config.failure_modes),
+                "attacks": list(config.attacks),
+            },
+            sort_keys=True,
+        )
+
     cells = _execute_tasks(_run_cell, specs, keys, "campaign", context, jobs)
     return CampaignResult(config=config, cells=cells)

@@ -2,11 +2,11 @@
 
 PR 4's differential oracle checks the *layout math*; this module is
 its twin for the *execution layer*.  It injects worker crashes, hangs,
-lost results, parent kills and journal damage at seeded rates into
-supervised sweeps and campaign slices, then asserts the one property
-the resilience layer promises: **final payloads are byte-identical to
-a clean serial run**, no matter what the executor survived along the
-way.
+lost results, parent kills and checkpoint-store damage at seeded rates
+into supervised sweeps and campaign slices, then asserts the one
+property the resilience layer promises: **final payloads are
+byte-identical to a clean serial run**, no matter what the executor
+survived along the way.
 
 Driven by ``python -m repro chaos`` and the chaos CI job; the same
 :class:`ChaosSpec` plugs into any :class:`repro.sim.resilient.Supervisor`
@@ -22,14 +22,15 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.sim.resilient import (
+    MISSING,
     ExecutionAborted,
-    JournalError,
     ResiliencePolicy,
+    ResultStore,
     Supervisor,
-    count_journal_entries,
+    default_store_dir,
     supervision,
 )
 
@@ -88,108 +89,43 @@ class ChaosSpec:
         return None
 
 
-@dataclass(frozen=True)
-class FabricChaosSpec:
-    """Seeded failure-injection plan for the distributed fabric.
-
-    The fabric's failure surface is different from the pool's, so this
-    spec speaks lease protocol, not executor protocol.
-    ``decide_fabric(key, attempt)`` is consulted by a worker *after* it
-    holds the lease and returns one of:
-
-    * ``"die_after_claim"`` -- ``os._exit(9)`` with the lease held (a
-      SIGKILL between claim and commit; the lease goes stale and must
-      be reclaimed);
-    * ``"stall"`` -- sleep past the lease TTL without heartbeating
-      (the stale-heartbeat resurrection race: someone steals the lease
-      and our late commit must lose the store race gracefully);
-    * ``"tear_result"`` -- write a half blob at the *final* store path
-      (a torn result the next claimant must detect and heal);
-    * ``None`` -- run the task honestly.
-
-    Fabric attempts are 1-based (attempt ``n`` means the ``n``-th claim
-    of that lease), so no fault fires once ``attempt > fault_attempts``
-    -- every task converges within the attempt budget and byte-parity
-    stays assertable.  ``kill_worker_after`` is coordinator-side chaos:
-    after that many observed claim events the coordinator SIGKILLs a
-    live worker outright (see ``_run_workers``).  The spec is pickled
-    into the queue manifest so detached ``repro fabric worker``
-    processes replay the same story.
-    """
-
-    seed: int = 0
-    die_rate: float = 0.0
-    stall_rate: float = 0.0
-    tear_rate: float = 0.0
-    fault_attempts: int = 2
-    kill_worker_after: Optional[int] = None
-
-    def _uniform(self, key: str, attempt: int) -> float:
-        digest = hashlib.blake2b(
-            f"fabric:{self.seed}:{key}:{attempt}".encode(), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "little") / 2**64
-
-    def decide_fabric(self, key: str, attempt: int) -> Optional[str]:
-        if attempt > self.fault_attempts:
-            return None
-        roll = self._uniform(key, attempt)
-        if roll < self.die_rate:
-            return "die_after_claim"
-        if roll < self.die_rate + self.stall_rate:
-            return "stall"
-        if roll < self.die_rate + self.stall_rate + self.tear_rate:
-            return "tear_result"
-        return None
-
-
 # ----------------------------------------------------------------------
-# Journal damage helpers (tests + the harness's own sections)
+# Store damage helpers (tests + the harness's own sections)
 # ----------------------------------------------------------------------
 
-def corrupt_journal_entry(path: Path, entry_index: int = 0) -> str:
-    """Flip one character inside entry ``entry_index``'s payload.
+def valid_blobs(store: ResultStore) -> List[Path]:
+    """Paths of the store's valid blobs (the committed-task count)."""
+    return [
+        path for path in store.blobs() if store.load(path.stem) is not MISSING
+    ]
 
-    Returns the corrupted line's original key.  The damaged entry must
-    fail its digest check on replay and be re-executed.
-    """
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    target = 1 + entry_index  # line 0 is the header
-    if target >= len(lines):
-        raise IndexError(f"journal has no entry {entry_index}")
-    entry = json.loads(lines[target])
-    payload = entry["payload"]
+
+def _rewrite_envelope(path: Path, **changes: str) -> None:
+    env = json.loads(Path(path).read_text(encoding="utf-8"))
+    env.update(changes)
+    Path(path).write_text(json.dumps(env, sort_keys=True), encoding="utf-8")
+
+
+def corrupt_blob(path: Path) -> None:
+    """Flip one character inside a blob's payload (fails its digest)."""
+    env = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = env["payload"]
     pos = len(payload) // 2
     flipped = "A" if payload[pos] != "A" else "B"
-    entry["payload"] = payload[:pos] + flipped + payload[pos + 1:]
-    lines[target] = json.dumps(entry, sort_keys=True) + "\n"
-    path.write_text("".join(lines), encoding="utf-8")
-    return str(entry["key"])
+    _rewrite_envelope(
+        path, payload=payload[:pos] + flipped + payload[pos + 1:]
+    )
 
 
-def truncate_journal(path: Path, keep_entries: int, partial: bool = True) -> None:
-    """Cut the journal down to ``keep_entries`` full entries.
-
-    With ``partial`` the next entry is half-written (no newline) --
-    the residue of a crash mid-append that replay must tolerate.
-    """
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    kept = lines[: 1 + keep_entries]
-    if partial and len(lines) > 1 + keep_entries:
-        kept.append(lines[1 + keep_entries][: 40])  # unterminated tail
-    path.write_text("".join(kept), encoding="utf-8")
+def tear_blob(path: Path) -> None:
+    """Cut a blob in half: the residue of a non-atomic writer's crash."""
+    raw = Path(path).read_text(encoding="utf-8")
+    Path(path).write_text(raw[: len(raw) // 2], encoding="utf-8")
 
 
-def break_journal_schema(path: Path) -> None:
-    """Stamp a wrong schema version into the header (must be rejected)."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    header = json.loads(lines[0])
-    header["schema"] = "repro-journal/v0"
-    lines[0] = json.dumps(header, sort_keys=True) + "\n"
-    path.write_text("".join(lines), encoding="utf-8")
+def break_blob_schema(path: Path) -> None:
+    """Stamp another schema version into an otherwise valid blob."""
+    _rewrite_envelope(path, schema="repro-result/v0")
 
 
 # ----------------------------------------------------------------------
@@ -266,10 +202,6 @@ def _campaign_json(config, jobs: int) -> str:
     return run_campaign(config, jobs=jobs).to_json()
 
 
-def _journal_files(run_dir: Path) -> List[Path]:
-    return sorted(Path(run_dir).glob("*.jsonl"))
-
-
 def _probe_task(x: int) -> int:
     """Trivial picklable worker body for the hang-detection probe."""
     return x * x
@@ -332,15 +264,18 @@ def run_chaos(
     1. **sweep under chaos** -- seeded worker crashes plus one injected
        hang; the supervised sweep must finish identical.
     2. **sweep kill + resume** -- abort the run after a few
-       completions, then ``--resume``; only unfinished tasks may
-       re-execute (verified via journal entry counts).
-    3. **corrupted journal** -- flip a byte in one recorded payload and
-       truncate another entry mid-line; resume must re-execute exactly
-       the damaged tasks and still match.
-    4. **schema rejection** -- a wrong-versioned journal header must
-       raise :class:`JournalError`, never silently replay.
+       completions, then ``--resume``; exactly the tasks committed
+       before the abort are reused and exactly the rest execute
+       (verified by counting valid store blobs).
+    3. **corrupt + torn blobs** -- flip a byte in one committed payload
+       and cut another blob in half; a re-run must re-execute exactly
+       those two tasks, heal both blobs and still match.
+    4. **wrong-schema blob** -- a blob stamped with another schema is
+       re-executed and healed, never replayed.
     5. **campaign under chaos** -- same crash story against the
-       fault-campaign fan-out.
+       checkpointed fault-campaign fan-out.
+    6. **warm-store reuse** -- the same campaign under a fresh run id
+       must reuse >= 90% of its cells from the store.
     """
     report = ChaosReport()
     say = echo or (lambda _line: None)
@@ -422,12 +357,14 @@ def _chaos_sweep_sections(
         f"after {survived}",
     )
 
-    # 2. kill + resume: only unfinished tasks re-execute.
+    # 2. kill + resume: exactly the committed tasks are reused.
     say("[chaos] sweep kill + --resume cycle ...")
     run_id = "chaos-resume"
+    sweep_root = runs_root / "sweep"
+    store = ResultStore(default_store_dir(sweep_root))
     abort_after = max(1, len(keys) // 3)
     killer = Supervisor(
-        policy=policy, run_id=run_id, runs_dir=runs_root,
+        policy=policy, run_id=run_id, runs_dir=sweep_root,
         chaos=ChaosSpec(seed=seed, abort_after=abort_after),
     )
     aborted = False
@@ -436,67 +373,68 @@ def _chaos_sweep_sections(
             _sweep_payloads(sample, duration, seed, schemes, jobs)
     except ExecutionAborted:
         aborted = True
-    journals = _journal_files(runs_root / run_id)
-    done_before = sum(count_journal_entries(path) for path in journals)
-    resumer = Supervisor(
-        policy=policy, run_id=run_id, runs_dir=runs_root, resume=True
-    )
-    with supervision(resumer):
-        resumed = _sweep_payloads(sample, duration, seed, schemes, jobs)
+    done_before = len(valid_blobs(store))
+
+    def rerun() -> Tuple[List[str], Supervisor]:
+        supervisor = Supervisor(
+            policy=policy, run_id=run_id, runs_dir=sweep_root
+        )
+        with supervision(supervisor):
+            payloads = _sweep_payloads(sample, duration, seed, schemes, jobs)
+        return payloads, supervisor
+
+    resumed, resumer = rerun()
+    stats = resumer.report
     ok = (
         aborted
         and resumed == clean
-        and resumer.report.resume_skips == done_before
-        and resumer.report.completed == len(keys) - done_before
+        and stats.resume_skips == done_before
+        and stats.completed == len(keys) - done_before
+        and len(valid_blobs(store)) == len(keys)
     )
     report.add(
         "sweep kill+resume",
         ok,
-        f"aborted after {done_before}/{len(keys)} journaled tasks; resume "
-        f"skipped {resumer.report.resume_skips}, re-executed "
-        f"{resumer.report.completed}, payloads "
-        f"{'identical' if resumed == clean else 'DIVERGED'}",
+        f"aborted after {done_before}/{len(keys)} committed tasks; resume "
+        f"reused {stats.resume_skips}, re-executed {stats.completed}, "
+        f"payloads {'identical' if resumed == clean else 'DIVERGED'}",
     )
 
-    # 3. corrupted + truncated journal: damaged entries re-execute.
-    say("[chaos] corrupting the finished journal, resuming again ...")
-    journal_path = journals[0] if journals else None
-    if journal_path is None:
-        report.add("corrupt journal", False, "no journal file found")
-    else:
-        corrupt_journal_entry(journal_path, entry_index=0)
-        truncate_journal(journal_path, keep_entries=max(1, done_before),
-                         partial=True)
-        repair = Supervisor(
-            policy=policy, run_id=run_id, runs_dir=runs_root, resume=True
-        )
-        with supervision(repair):
-            healed = _sweep_payloads(sample, duration, seed, schemes, jobs)
-        report.add(
-            "corrupt journal",
-            healed == clean and repair.report.completed >= 1
-            and repair.report.journal_corrupt_entries >= 1,
-            f"replay skipped {repair.report.journal_corrupt_entries} corrupt "
-            f"entries ({repair.report.journal_truncated_lines} truncated), "
-            f"re-executed {repair.report.completed}, payloads "
-            f"{'identical' if healed == clean else 'DIVERGED'}",
-        )
+    # 3. one corrupted and one torn blob: exactly those two re-execute.
+    say("[chaos] corrupting one blob and tearing another, re-running ...")
+    blobs = valid_blobs(store)
+    if len(blobs) < 2:
+        report.add("corrupt + torn blobs", False, f"only {len(blobs)} blobs")
+        return
+    corrupt_blob(blobs[0])
+    tear_blob(blobs[1])
+    healed, repair = rerun()
+    stats = repair.report
+    report.add(
+        "corrupt + torn blobs",
+        healed == clean
+        and stats.completed == 2
+        and stats.dropped_results == 2
+        and stats.resume_skips == len(keys) - 2
+        and len(valid_blobs(store)) == len(keys),
+        f"dropped {stats.dropped_results} invalid blobs, re-executed "
+        f"{stats.completed}, reused {stats.resume_skips}, payloads "
+        f"{'identical' if healed == clean else 'DIVERGED'}",
+    )
 
-        # 4. schema mismatch is rejected, never replayed.
-        break_journal_schema(journal_path)
-        rejecter = Supervisor(
-            policy=policy, run_id=run_id, runs_dir=runs_root, resume=True
-        )
-        try:
-            with supervision(rejecter):
-                _sweep_payloads(sample, duration, seed, schemes, jobs)
-        except JournalError as exc:
-            report.add("schema rejection", True, f"rejected cleanly: {exc}")
-        else:
-            report.add(
-                "schema rejection", False,
-                "wrong-schema journal was silently accepted",
-            )
+    # 4. a wrong-schema blob is re-executed, never replayed.
+    break_blob_schema(blobs[0])
+    rejected, rejecter = rerun()
+    stats = rejecter.report
+    report.add(
+        "wrong-schema blob",
+        rejected == clean
+        and stats.completed == 1
+        and stats.dropped_results == 1
+        and len(valid_blobs(store)) == len(keys),
+        f"re-executed {stats.completed} task, reused {stats.resume_skips}, "
+        f"payloads {'identical' if rejected == clean else 'DIVERGED'}",
+    )
 
 
 def _chaos_campaign_section(
@@ -515,12 +453,16 @@ def _chaos_campaign_section(
         seed=seed, trials=1,
         attacks=("data_bitflip", "counter_tamper", "mac_delete"),
     )
+    campaign_root = runs_root / "campaign"
     say("[chaos] clean serial campaign slice ...")
     clean = _campaign_json(config, jobs=1)
-    say(f"[chaos] supervised campaign: crash_rate={crash_rate} ...")
+    say(f"[chaos] checkpointed campaign: crash_rate={crash_rate} ...")
     chaos = ChaosSpec(seed=seed + 1, crash_rate=crash_rate,
                       lost_rate=lost_rate)
-    supervisor = Supervisor(policy=policy, chaos=chaos)
+    supervisor = Supervisor(
+        policy=policy, run_id="chaos-campaign", runs_dir=campaign_root,
+        chaos=chaos,
+    )
     with supervision(supervisor):
         chaotic = _campaign_json(config, jobs=jobs)
     stats = supervisor.report
@@ -531,151 +473,18 @@ def _chaos_campaign_section(
         f"{stats.retries} retries, {stats.pool_breaks} pool breaks",
     )
 
-
-# ----------------------------------------------------------------------
-# Fabric chaos: multi-claimant races against the lease protocol
-# ----------------------------------------------------------------------
-
-#: Lease TTL for chaos stories: short enough that a "stall" (sleeps
-#: ``1.6 * ttl``) resolves in seconds, long enough that honest workers
-#: never expire under load.
-FABRIC_CHAOS_TTL = 6.0
-
-
-def _campaign_config(seed: int):
-    from repro.faults.campaign import CampaignConfig
-
-    return CampaignConfig(
-        seed=seed, trials=1,
-        attacks=("data_bitflip", "counter_tamper", "mac_delete"),
+    say("[chaos] warm-store campaign re-run (fresh run id, same store) ...")
+    warm_supervisor = Supervisor(
+        policy=policy, run_id="chaos-campaign-warm", runs_dir=campaign_root
     )
-
-
-def _fabric_campaign(
-    config,
-    runs_dir: Path,
-    workers: int,
-    seed: int,
-    chaos: Optional[FabricChaosSpec] = None,
-    wall_timeout: float = 240.0,
-) -> Tuple[str, "Supervisor"]:
-    """One fabric-backed campaign; returns ``(json, supervisor)``."""
-    supervisor = Supervisor(
-        runs_dir=runs_dir,
-        fabric_workers=workers,
-        lease_ttl=FABRIC_CHAOS_TTL,
-        fabric_wall_timeout=wall_timeout,
-        chaos=chaos,
+    with supervision(warm_supervisor):
+        warm = _campaign_json(config, jobs=jobs)
+    stats = warm_supervisor.report
+    total = stats.resume_skips + stats.completed
+    reuse = stats.resume_skips / total if total else 0.0
+    report.add(
+        "warm-store reuse",
+        warm == clean and reuse >= 0.9,
+        f"reused {stats.resume_skips}/{total} cells ({reuse:.0%}); payloads "
+        f"{'identical' if warm == clean else 'DIVERGED'}",
     )
-    with supervision(supervisor):
-        payload = _campaign_json(config, jobs=workers)
-    return payload, supervisor
-
-
-def run_fabric_chaos(
-    seed: int = 0,
-    crash_rate: float = 0.2,
-    workers: int = 3,
-    runs_dir: Optional[Path] = None,
-    echo: Optional[Callable[[str], None]] = None,
-) -> ChaosReport:
-    """The fabric chaos story: multi-claimant races, asserted byte-equal.
-
-    Sections (all against the same shared store under ``runs_dir``):
-
-    1. **fabric parity** -- an N-worker leased campaign must be
-       byte-identical to the clean serial run, with every cell executed
-       through a claimed lease.
-    2. **multi-claimant races** -- seeded ``die_after_claim`` /
-       ``stall`` / ``tear_result`` sabotage plus a coordinator-side
-       SIGKILL of a live worker; parity must hold and at least one
-       expired lease must be stolen by a surviving claimant.
-    3. **stale-heartbeat resurrection** -- implied by the ``stall``
-       faults of section 2: a stalled worker's late commit must lose
-       the content-addressed store race without corrupting the blob
-       (checked via torn-result and parity accounting).
-    4. **warm-store reuse** -- an identical re-run (fresh run id, same
-       store) must reuse >= 90% of cells without claiming leases.
-    """
-    report = ChaosReport()
-    say = echo or (lambda _line: None)
-    cleanup = runs_dir is None
-    runs_root = Path(
-        runs_dir if runs_dir is not None
-        else tempfile.mkdtemp(prefix="repro-fabric-chaos-")
-    )
-    config = _campaign_config(seed)
-    try:
-        say("[chaos] clean serial campaign baseline ...")
-        clean = _campaign_json(config, jobs=1)
-
-        # 1. honest N-worker fabric run: byte parity, leased end to end.
-        say(f"[chaos] fabric campaign: {workers} workers, no faults ...")
-        payload, sup = _fabric_campaign(
-            config, runs_root / "calm", workers, seed
-        )
-        stats = sup.report
-        report.add(
-            "fabric parity",
-            payload == clean and stats.lease_claims > 0
-            and stats.result_reuses == 0,
-            f"payloads {'identical' if payload == clean else 'DIVERGED'}; "
-            f"{stats.lease_claims} leases claimed across {workers} workers",
-        )
-
-        # 2. multi-claimant races: worker deaths, stalls past TTL, torn
-        # blobs, plus one coordinator-side SIGKILL mid-run.
-        say(
-            f"[chaos] fabric races: die_rate={crash_rate} "
-            f"stall/tear={crash_rate / 2:.2f} + 1 SIGKILL ..."
-        )
-        chaos = FabricChaosSpec(
-            seed=seed,
-            die_rate=crash_rate,
-            stall_rate=crash_rate / 2,
-            tear_rate=crash_rate / 2,
-            kill_worker_after=2,
-        )
-        raced, rsup = _fabric_campaign(
-            config, runs_root / "races", workers, seed, chaos=chaos
-        )
-        rstats = rsup.report
-        turbulence = (
-            rstats.lease_steals + rstats.worker_deaths + rstats.torn_results
-        )
-        report.add(
-            "fabric multi-claimant races",
-            raced == clean and rstats.lease_steals >= 1,
-            f"payloads {'identical' if raced == clean else 'DIVERGED'} after "
-            f"{rstats.lease_steals} lease steals, "
-            f"{rstats.worker_deaths} worker deaths "
-            f"({rstats.worker_respawns} respawns), "
-            f"{rstats.torn_results} torn results healed",
-        )
-        report.add(
-            "fabric turbulence observed",
-            turbulence >= 2,
-            f"{turbulence} injected faults survived "
-            f"(steals+deaths+torn >= 2 expected at "
-            f"crash_rate={crash_rate})",
-        )
-
-        # 4. warm store: identical re-run reuses instead of re-executing.
-        say("[chaos] warm-store re-run (fresh run id, same store) ...")
-        warm, wsup = _fabric_campaign(
-            config, runs_root / "races", workers, seed
-        )
-        wstats = wsup.report
-        total = wstats.result_reuses + wstats.completed
-        reuse_frac = wstats.result_reuses / total if total else 0.0
-        report.add(
-            "fabric warm-store reuse",
-            warm == clean and reuse_frac >= 0.9,
-            f"reused {wstats.result_reuses}/{total} cells "
-            f"({reuse_frac:.0%}); payloads "
-            f"{'identical' if warm == clean else 'DIVERGED'}",
-        )
-    finally:
-        if cleanup:
-            shutil.rmtree(runs_root, ignore_errors=True)
-    return report

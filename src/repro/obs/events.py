@@ -67,20 +67,13 @@ class EventType(enum.Enum):
     #: Supervised executor: graceful degradation (the pool shrank, or
     #: one task fell back to serial execution in the parent).
     EXEC_DEGRADE = "exec_degrade"
-    #: Supervised executor: a journaled result was reused on resume.
+    #: Supervised executor: a checkpointed result was reused from the
+    #: content-addressed store instead of re-executing its task.
     EXEC_RESUME_SKIP = "exec_resume_skip"
-    #: Checkpoint journal: corrupt/truncated entries were dropped on
-    #: replay (the damaged tasks re-execute).
-    JOURNAL_DROPPED = "journal_dropped"
-    #: Fabric: a worker claimed a task lease.
-    LEASE_CLAIM = "lease_claim"
-    #: Fabric: an expired lease was removed (its holder presumed dead).
-    LEASE_EXPIRE = "lease_expire"
-    #: Fabric: a worker stole an expired lease from a dead claimant.
-    LEASE_STEAL = "lease_steal"
-    #: Fabric: a content-addressed result was reused from a warm store
-    #: instead of recomputing the cell.
-    RESULT_REUSE = "result_reuse"
+    #: Checkpoint store: a present but invalid result blob (torn,
+    #: corrupt, another schema or task) was dropped; its task
+    #: re-executes and the commit heals the blob.
+    RESULT_DROPPED = "result_dropped"
 
 
 @dataclass(frozen=True)

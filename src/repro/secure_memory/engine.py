@@ -362,16 +362,10 @@ class SecureMemory:
                     chunk=chunk_index(line_addr),
                     addr=line_addr,
                 )
-            self._reencrypt_chunk(chunk_base(line_addr))
-            bits = self._current_bits(line_addr)
-            if level == 0 and not self.has_mac(
-                addressing.mac_addr(self.geometry, bits, line_addr)
-            ):
-                # The re-encryption carried no seal of this line (a heal
-                # of a line revived by quarantine, or a deleted MAC), so
-                # its counter restarts under the new epoch; this write
-                # seals it at once, so it never reads as pristine.
-                self.tree.set_counter(line_addr, 0, 0)
+            chunk_b = chunk_base(line_addr)
+            self._reencrypt_chunk(chunk_b)
+            if level == 0:
+                self._restart_unsealed_counters(line_addr, chunk_b)
             self._write_line_at(line_addr, payload, granularity)
         except (IntegrityError, ReplayError) as exc:
             self._close_run()
@@ -696,6 +690,28 @@ class SecureMemory:
             self.tree.set_counter(sub, granularity_level(sub_g), 1)
             self._seal_region(sub, sub_g, 1, plaintexts, bits)
         self.events.bump("chunk_reencryptions")
+
+    def _restart_unsealed_counters(self, line_addr: int, chunk_b: int) -> None:
+        """Restart at 0 the 64 B counters a re-encryption carried no seal of.
+
+        After an overflow re-keys the chunk, the written line (a heal of
+        a line revived by quarantine, or a deleted MAC) and every other
+        heal-quarantined line of the chunk without a MAC may still sit
+        at the counter limit.  The fresh epoch key means no pad can
+        repeat, so their counters restart: the written line is sealed by
+        the retried write at once, and the others stay quarantined until
+        their own heal-write seals them, so none ever reads as pristine.
+        One re-key therefore serves the heal of a whole region.
+        """
+        bits = self._current_bits(chunk_b)
+        lines = [line_addr] + [
+            addr
+            for addr, state in self._quarantined.items()
+            if state == "heal" and chunk_base(addr) == chunk_b
+        ]
+        for addr in lines:
+            if not self.has_mac(addressing.mac_addr(self.geometry, bits, addr)):
+                self.tree.set_counter(addr, 0, 0)
 
     def _keys_for(self, addr: int) -> KeySet:
         """Keyset of ``addr``'s chunk under its current key epoch."""

@@ -1,8 +1,8 @@
 """``repro-tenant/v1``: crash-safe per-tenant persistence for the daemon.
 
 Each tenant the daemon opens with a ``--state-dir`` gets one
-append-only, fsync'd JSONL journal riding the ``repro-journal/v1``
-framing discipline from :mod:`repro.sim.resilient`: line 1 is a header
+append-only, fsync'd JSONL journal sharing the digest discipline of
+:func:`repro.sim.resilient.digest_text`: line 1 is a header
 binding the file to one (tenant, key-id, session-params) identity, and
 every further line carries one entry wrapped with a SHA-256 digest of
 its canonical JSON::

@@ -29,14 +29,17 @@ defaults to :func:`default_jobs` (``REPRO_JOBS`` else CPU count).
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.common.config import SoCConfig
 from repro.mem.channel import ChannelStats
+from repro.sim.resilient import _infrastructure_failure, current_supervisor
 from repro.sim.runner import _run_schemes_over_traces, sim_duration
 from repro.sim.scenario import Scenario
 from repro.sim.soc import DeviceResult, ResultView, RunResult
@@ -128,26 +131,6 @@ def slim_result(result: AnyRunResult) -> "SlimRunResult":
 # Ordered parallel map with serial fallback
 # ----------------------------------------------------------------------
 
-def _infrastructure_failure(exc: BaseException) -> bool:
-    """Pool/pickling plumbing failures, as opposed to task logic errors.
-
-    ``BrokenExecutor`` covers dead workers and fork refusal; pickling
-    failures surface as :class:`pickle.PicklingError` or -- depending
-    on what exactly refused to serialize -- as a ``TypeError`` or
-    ``AttributeError`` whose message names pickling (a heuristic, but
-    the cost of a miss is only a serial rerun of pure functions).
-    """
-    import pickle
-    from concurrent.futures import BrokenExecutor
-
-    if isinstance(exc, (BrokenExecutor, OSError, pickle.PicklingError)):
-        return True
-    return (
-        isinstance(exc, (TypeError, AttributeError))
-        and "pickle" in str(exc).lower()
-    )
-
-
 def map_ordered(
     fn: Callable[[T], R], items: Sequence[T], jobs: Optional[int] = None
 ) -> List[R]:
@@ -224,7 +207,7 @@ def _chunks_per_scenario(n_scenarios: int, workers: int) -> int:
 
 
 def _task_key(index: int, scenario_name: str, chunk: Sequence[str]) -> str:
-    """Stable journal/event key of one (scenario, scheme-chunk) task."""
+    """Stable checkpoint/event key of one (scenario, scheme-chunk) task."""
     return f"{index:03d}:{scenario_name}:{'+'.join(chunk)}"
 
 
@@ -233,13 +216,13 @@ def sweep_task_keys(
     scheme_names: Sequence[str],
     jobs: Optional[int] = None,
 ) -> List[str]:
-    """The task keys :func:`run_scenarios` will journal for this sweep.
+    """The task keys :func:`run_scenarios` will checkpoint for this sweep.
 
     Exposed so the chaos harness can target specific tasks (e.g. hang
-    exactly one) and tests can count journal entries without rerunning
-    the key derivation by hand.  Keys depend on the chunking and hence
-    on ``jobs``; a journal written at one worker count cannot be
-    resumed at another (the journal header enforces this).
+    exactly one) and tests can count committed results without
+    rerunning the key derivation by hand.  Keys depend on the chunking
+    and hence on ``jobs``: a sweep checkpointed at one worker count
+    re-executes at another, because its task digests differ.
     """
     workers = resolve_jobs(jobs)
     per_scenario = _chunks_per_scenario(len(scenarios), workers)
@@ -250,27 +233,40 @@ def sweep_task_keys(
     return keys
 
 
+def _traces_digest(trace_sets: Sequence[Sequence[Trace]]) -> str:
+    """SHA-256 over the pickled trace sets of a simulation fan-out.
+
+    Its tasks are functions of these traces, so a checkpoint context
+    that pins them shares results only between runs that simulate the
+    same requests, whatever scenario, seed or duration built them.
+    """
+    hasher = hashlib.sha256()
+    for traces in trace_sets:
+        hasher.update(pickle.dumps(tuple(traces), protocol=4))
+    return hasher.hexdigest()
+
+
 def _execute_tasks(
     fn: Callable[[T], R],
     tasks: Sequence[T],
     keys: Sequence[str],
     kind: str,
-    context: str,
+    context: Callable[[], str],
     jobs: Optional[int],
 ) -> List[R]:
     """Route a fan-out through the ambient supervisor (or legacy map).
 
     The supervised engine is the default; ``REPRO_EXEC=plain`` opts
     back into the bare ``pool.map`` path (the CI overhead gate measures
-    the two back to back).
+    the two back to back).  ``context`` is only built for a
+    checkpointing supervisor, the one consumer of task digests.
     """
-    from repro.sim import resilient  # lazy: resilient imports resolve_jobs
-
-    supervisor = resilient.current_supervisor()
+    supervisor = current_supervisor()
     if supervisor is None:
         return map_ordered(fn, tasks, jobs=jobs)
     return supervisor.map(
-        fn, tasks, keys=keys, kind=kind, context=context, jobs=jobs
+        fn, tasks, keys=keys, kind=kind,
+        context=context() if supervisor.checkpointing else "", jobs=jobs,
     )
 
 
@@ -316,17 +312,17 @@ def run_scenarios(
             tasks.append((tuple(traces), footprint, chunk, config, warmup))
             keys.append(_task_key(index, scenario.name, chunk))
 
-    context = "|".join(
-        [
-            "sweep",
-            ",".join(scenario.name for scenario in scenarios),
-            ",".join(scheme_names),
-            f"duration={duration}",
-            f"seed={seed}",
-            f"warmup={warmup}",
-            f"config={config!r}",
-        ]
-    )
+    def context() -> str:
+        return "|".join(
+            [
+                "sweep",
+                ",".join(scheme_names),
+                f"traces={_traces_digest([traces for traces, _ in built])}",
+                f"warmup={warmup}",
+                f"config={config!r}",
+            ]
+        )
+
     chunk_results = _execute_tasks(
         _run_chunk, tasks, keys, "sweep", context, workers
     )
@@ -358,16 +354,19 @@ def run_schemes_parallel(
         (tuple(traces), footprint, chunk, config, warmup) for chunk in chunks
     ]
     keys = [_task_key(0, "scenario", chunk) for chunk in chunks]
-    context = "|".join(
-        [
-            "scenario",
-            ",".join(scheme_names),
-            f"traces={len(traces)}",
-            f"footprint={footprint}",
-            f"warmup={warmup}",
-            f"config={config!r}",
-        ]
-    )
+
+    def context() -> str:
+        return "|".join(
+            [
+                "scenario",
+                ",".join(scheme_names),
+                f"traces={_traces_digest([traces])}",
+                f"footprint={footprint}",
+                f"warmup={warmup}",
+                f"config={config!r}",
+            ]
+        )
+
     merged: Dict[str, AnyRunResult] = {}
     for chunk_result in _execute_tasks(
         _run_chunk, tasks, keys, "scenario", context, jobs

@@ -22,15 +22,17 @@ This module supplies the supervision discipline of real fleets:
   worker count stepwise down to :attr:`ResiliencePolicy.min_workers`;
   a task that exhausts its transient retries falls back to running
   serially *in the parent*, for that task only.
-* **Checkpoint journal** -- an append-only, fsync'd, schema-versioned
-  JSONL file under ``runs/<run-id>/`` records every completed task's
-  payload, so ``--resume <run-id>`` skips finished work and the
-  resumed output is byte-identical to an uninterrupted run.
+* **Content-addressed checkpoint** -- with a run id every finished
+  task is committed once, atomically, into the result store under
+  ``<runs-dir>/store/``, keyed by a digest of what the task runs on
+  what; any later run of the same cells (``--resume``, or a fresh
+  run id) reuses the valid blobs and re-executes only the rest, so
+  its output is byte-identical to an uninterrupted run.
 
-Every supervision event (retry, timeout, degrade, resume-skip) is
+Every supervision event (retry, timeout, degrade, reuse) is
 emitted through :mod:`repro.obs` as a trace event and counted in the
 ``resilience`` metrics group.  ``docs/resilience.md`` documents the
-model, the journal format and the CLI flags.
+model, the store layout and the CLI flags.
 """
 
 from __future__ import annotations
@@ -44,10 +46,17 @@ import pickle
 import time
 import uuid
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import (
     Callable,
@@ -67,8 +76,10 @@ logger = logging.getLogger("repro.resilient")
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Journal schema identifier; bump on any incompatible format change.
-JOURNAL_SCHEMA = "repro-journal/v1"
+#: Committed-result schema; bump on any incompatible envelope change.
+RESULT_SCHEMA = "repro-result/v1"
+#: Folded into every task digest (the content address of one task).
+TASK_SCHEMA = "repro-task/v1"
 
 #: Upper bound on one supervision-loop wait, so deadlines and backoff
 #: expiries are re-checked promptly even when nothing completes.
@@ -81,16 +92,8 @@ RESILIENCE_COUNTERS = (
     "exec_timeout",
     "exec_degrade",
     "exec_resume_skip",
-    "journal_dropped",
-    "lease_claim",
-    "lease_expire",
-    "lease_steal",
-    "result_reuse",
+    "result_dropped",
 )
-
-
-class JournalError(ValueError):
-    """The checkpoint journal is unusable (schema/identity/digest)."""
 
 
 class ExecutionAborted(RuntimeError):
@@ -163,17 +166,11 @@ class SupervisionReport:
     pool_breaks: int = 0
     degrades: int = 0
     serial_fallbacks: int = 0
+    #: Tasks served from the checkpoint store instead of executed.
     resume_skips: int = 0
-    journal_corrupt_entries: int = 0
-    journal_truncated_lines: int = 0
-    # Fabric (leased work-queue) counters; zero outside fabric runs.
-    result_reuses: int = 0
-    lease_claims: int = 0
-    lease_steals: int = 0
-    lease_expires: int = 0
-    torn_results: int = 0
-    worker_deaths: int = 0
-    worker_respawns: int = 0
+    #: Present but invalid store blobs (torn, corrupt, another schema
+    #: or task) whose tasks re-executed.
+    dropped_results: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -185,297 +182,190 @@ class SupervisionReport:
             "degrades": self.degrades,
             "serial_fallbacks": self.serial_fallbacks,
             "resume_skips": self.resume_skips,
-            "journal_corrupt_entries": self.journal_corrupt_entries,
-            "journal_truncated_lines": self.journal_truncated_lines,
-            "result_reuses": self.result_reuses,
-            "lease_claims": self.lease_claims,
-            "lease_steals": self.lease_steals,
-            "lease_expires": self.lease_expires,
-            "torn_results": self.torn_results,
-            "worker_deaths": self.worker_deaths,
-            "worker_respawns": self.worker_respawns,
+            "dropped_results": self.dropped_results,
         }
 
-    def fold_fabric(self, fabric: "object") -> None:
-        """Merge one fabric fan-out's counters into this run report."""
-        self.completed += getattr(fabric, "committed", 0)
-        self.attempts += getattr(fabric, "lease_claims", 0)
-        self.result_reuses += getattr(fabric, "reused", 0)
-        self.lease_claims += getattr(fabric, "lease_claims", 0)
-        self.lease_steals += getattr(fabric, "lease_steals", 0)
-        self.lease_expires += getattr(fabric, "lease_expires", 0)
-        self.torn_results += getattr(fabric, "torn_results", 0)
-        self.worker_deaths += getattr(fabric, "worker_deaths", 0)
-        self.worker_respawns += getattr(fabric, "respawns", 0)
-
     def summary(self) -> str:
-        line = (
+        return (
             f"supervision: {self.completed} completed "
             f"({self.resume_skips} resumed), {self.attempts} attempts, "
             f"{self.retries} retries, {self.timeouts} timeouts, "
             f"{self.pool_breaks} pool breaks, {self.degrades} degrades, "
             f"{self.serial_fallbacks} serial fallbacks"
         )
-        if self.lease_claims or self.result_reuses:
-            line += (
-                f"; fabric: {self.lease_claims} leases "
-                f"({self.lease_steals} stolen), {self.result_reuses} store "
-                f"reuses, {self.worker_deaths} worker deaths"
-            )
-        return line
 
 
 # ----------------------------------------------------------------------
-# Checkpoint journal
+# Content-addressed result store (the checkpoint)
 # ----------------------------------------------------------------------
 
 def digest_text(text: str) -> str:
     """SHA-256 hex of UTF-8 text.
 
-    The one digest discipline every journal schema in this repo shares:
-    ``repro-journal/v1`` entries here, ``repro-tenant/v1`` entries in
-    :mod:`repro.service.store`, and the fabric result store all bind
-    payloads with this function so damage detection is uniform.
+    The one digest discipline the repo's durable formats share:
+    ``repro-result/v1`` blobs here and ``repro-tenant/v1`` entries in
+    :mod:`repro.service.store` bind payloads with this function so
+    damage detection is uniform.
     """
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-_digest = digest_text
+#: Root of the ``repro`` package whose sources :func:`code_fingerprint`
+#: hashes.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _keys_digest(keys: Sequence[str]) -> str:
-    return _digest("\n".join(keys))
+@lru_cache(maxsize=None)
+def code_fingerprint(package: Path = PACKAGE_ROOT) -> str:
+    """SHA-256 over every ``.py`` source under ``package``.
 
-
-class Journal:
-    """Append-only, fsync'd checkpoint journal (``repro-journal/v1``).
-
-    Line 1 is a header binding the file to one (kind, context, task
-    set); every further line is one completed task::
-
-        {"schema": "repro-journal/v1", "kind": ..., "context": <sha256>,
-         "tasks": <sha256 of the key list>, "run_id": ..., "total": N}
-        {"key": "...", "digest": <sha256 of payload>, "payload": <b64 pickle>}
-
-    Entries are independent: a corrupted line invalidates only itself
-    (the task is simply re-executed on resume), an unterminated tail
-    line is the expected residue of a crash mid-append, and duplicate
-    keys resolve latest-wins so replay is idempotent.  Header
-    mismatches -- wrong schema version, or a journal recorded for a
-    different task set (changed ``--jobs``, schemes or seed) -- always
-    raise :class:`JournalError`.
-
-    Payloads are pickles produced by this repository's own runs; do
-    not resume journals from untrusted sources.
+    Computed once per process.  Folded into every task digest, so a
+    blob written by another code tree has another address: after any
+    source change its tasks re-execute instead of replaying results
+    of the old code.
     """
+    hasher = hashlib.sha256()
+    for source in sorted(package.rglob("*.py")):
+        hasher.update(source.relative_to(package).as_posix().encode("utf-8"))
+        hasher.update(b"\0")
+        hasher.update(source.read_bytes())
+        hasher.update(b"\0")
+    return hasher.hexdigest()
 
-    def __init__(
-        self,
-        path: os.PathLike,
-        kind: str,
-        context: str,
-        keys: Sequence[str],
-        run_id: str = "",
-    ) -> None:
-        self.path = Path(path)
-        self.kind = kind
-        self.context_digest = _digest(context)
-        self.keys_digest = _keys_digest(list(keys))
-        self.run_id = run_id
-        self.total = len(keys)
-        self._fh = None
-        #: Populated by :meth:`load`.
-        self.corrupt_entries = 0
-        self.truncated_lines = 0
 
-    # -- lifecycle -----------------------------------------------------
+def task_digest(kind: str, context: str, key: str, fn: Callable) -> str:
+    """Content address of one task: what it runs, on what, under what.
 
-    @classmethod
-    def open(
-        cls,
-        path: os.PathLike,
-        kind: str,
-        context: str,
-        keys: Sequence[str],
-        run_id: str = "",
-        resume: bool = False,
-    ) -> "Journal":
-        """Create a fresh journal, or attach to an existing one.
-
-        An existing file is only reopened when ``resume`` is set (so a
-        forgotten ``--run-id`` cannot silently mix two runs) and only
-        when its header matches this run's identity.
-        """
-        journal = cls(path, kind, context, keys, run_id=run_id)
-        if journal.path.exists():
-            if not resume:
-                raise JournalError(
-                    f"journal {journal.path} already exists; pass --resume "
-                    "to continue that run or pick a fresh --run-id"
-                )
-            journal._check_header(journal._read_header())
-        else:
-            journal.path.parent.mkdir(parents=True, exist_ok=True)
-            journal._append_line(json.dumps(journal._header(), sort_keys=True))
-        return journal
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    # -- header --------------------------------------------------------
-
-    def _header(self) -> Dict[str, object]:
-        return {
-            "schema": JOURNAL_SCHEMA,
-            "kind": self.kind,
-            "context": self.context_digest,
-            "tasks": self.keys_digest,
-            "run_id": self.run_id,
-            "total": self.total,
-        }
-
-    def _read_header(self) -> Dict[str, object]:
-        with open(self.path, encoding="utf-8") as handle:
-            first = handle.readline()
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise JournalError(
-                f"journal {self.path} has an unreadable header: {exc}"
-            ) from exc
-        if not isinstance(header, dict):
-            raise JournalError(f"journal {self.path} header is not an object")
-        return header
-
-    def _check_header(self, header: Dict[str, object]) -> None:
-        schema = header.get("schema")
-        if schema != JOURNAL_SCHEMA:
-            raise JournalError(
-                f"journal {self.path} has schema {schema!r}, "
-                f"expected {JOURNAL_SCHEMA!r}"
-            )
-        for field_name, expected in (
-            ("kind", self.kind),
-            ("context", self.context_digest),
-            ("tasks", self.keys_digest),
-        ):
-            if header.get(field_name) != expected:
-                raise JournalError(
-                    f"journal {self.path} was recorded for a different run "
-                    f"({field_name} mismatch) -- did --jobs, the scheme "
-                    "list, the seed or the config change?"
-                )
-
-    # -- writing -------------------------------------------------------
-
-    def _append_line(self, line: str) -> None:
-        if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def record(self, key: str, value: object) -> None:
-        """Durably append one completed task (atomic: flush + fsync)."""
-        payload = base64.b64encode(
-            pickle.dumps(value, protocol=4)
-        ).decode("ascii")
-        entry = {"key": key, "digest": _digest(payload), "payload": payload}
-        self._append_line(json.dumps(entry, sort_keys=True))
-
-    # -- reading -------------------------------------------------------
-
-    def load(self, strict: bool = False) -> Dict[str, object]:
-        """Replay the journal into ``{key: payload}`` (latest wins).
-
-        With ``strict=False`` (the default used on resume) corrupt
-        entries are *skipped* -- counted in :attr:`corrupt_entries` and
-        re-executed by the caller -- so a damaged journal degrades to
-        re-running work, never to wrong results.  ``strict=True`` turns
-        any corruption into a :class:`JournalError`.  Header mismatches
-        raise either way.
-        """
-        self.corrupt_entries = 0
-        self.truncated_lines = 0
-        out: Dict[str, object] = {}
-        if not self.path.exists():
-            return out
-        with open(self.path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-        if not lines:
-            return out
-        self._check_header(self._read_header())
-        for raw in lines[1:]:
-            if not raw.endswith("\n"):
-                # Crash mid-append: an unterminated tail is the one
-                # kind of damage the append-only discipline expects.
-                self.truncated_lines += 1
-                continue
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                key = entry["key"]
-                payload = entry["payload"]
-                digest = entry["digest"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                self._reject(strict, f"malformed entry: {exc}")
-                continue
-            if _digest(payload) != digest:
-                self._reject(strict, f"digest mismatch for key {key!r}")
-                continue
-            try:
-                out[key] = pickle.loads(base64.b64decode(payload))
-            except Exception as exc:  # unpicklable payload = corrupt
-                self._reject(strict, f"unreadable payload for {key!r}: {exc}")
-        return out
-
-    def _reject(self, strict: bool, why: str) -> None:
-        if strict:
-            raise JournalError(f"journal {self.path}: {why}")
-        self.corrupt_entries += 1
-        logger.warning(
-            "journal %s: skipping corrupt entry (%s); the task will be "
-            "re-executed", self.path, why,
+    Pins the code tree (:func:`code_fingerprint`) as well.  Independent
+    of the run id and, for kinds whose keys are (campaign cells), of
+    the worker count, so a warm store serves any later run of the same
+    cells by the same code.
+    """
+    return digest_text(
+        "|".join(
+            [
+                TASK_SCHEMA,
+                code_fingerprint(),
+                kind,
+                digest_text(context),
+                key,
+                f"{fn.__module__}:{fn.__qualname__}",
+            ]
         )
-
-    def entry_count(self) -> int:
-        """Number of valid (replayable) entries currently on disk."""
-        return len(self.load())
+    )
 
 
-def count_journal_entries(path: os.PathLike) -> int:
-    """Valid (latest-wins) entry count of a journal file on disk.
+#: What :meth:`ResultStore.load` returns for an absent or invalid blob.
+MISSING = object()
 
-    Unlike :meth:`Journal.load` this does not check the run identity --
-    it is the tool tests and the chaos harness use to ask "how much of
-    that run finished?" without reconstructing its key set.
+
+class ResultStore:
+    """Immutable result blobs keyed by task digest, committed at most once.
+
+    A blob is one JSON envelope at ``<root>/<digest[:2]>/<digest>.json``::
+
+        {"schema": "repro-result/v1", "task": <digest>, "key": ...,
+         "payload": <b64 pickle>, "digest": <sha256 of payload>}
+
+    Commit writes a private temp file, fsyncs it, then ``os.link``\\ s
+    it to the final path -- an atomic create-if-absent, so exactly one
+    committer's bytes land no matter how many raced.  One heal rule
+    covers every kind of damage: a blob that is torn, has flipped
+    bytes, carries another schema or another task's digest, or no
+    longer unpickles reads as *absent*; its task re-executes, and the
+    commit unlinks the invalid occupant and retries the link once.
+
+    Payloads are pickles of this tree's classes: a store is valid only
+    for the code that wrote it (task digests pin the code tree, so
+    another tree's blobs are never looked up), and must never be read
+    from untrusted sources.
     """
-    path = Path(path)
-    if not path.exists():
-        return 0
-    seen = set()
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.readlines()
-    for raw in lines[1:]:
-        if not raw.endswith("\n"):
-            continue
-        line = raw.strip()
-        if not line:
-            continue
+
+    def __init__(self, root: os.PathLike) -> None:
+        self.root = Path(root)
+
+    def path(self, digest: str) -> Path:
+        return self.root / digest[:2] / f"{digest}.json"
+
+    def commit(self, digest: str, key: str, value: object) -> bool:
+        """Durably publish one result; ``True`` iff this call won.
+
+        Losing the race (a valid blob already exists) leaves the
+        earlier bytes in place and discards ours unread.
+        """
+        payload = base64.b64encode(pickle.dumps(value, protocol=4)).decode(
+            "ascii"
+        )
+        envelope = json.dumps(
+            {
+                "schema": RESULT_SCHEMA,
+                "task": digest,
+                "key": key,
+                "payload": payload,
+                "digest": digest_text(payload),
+            },
+            sort_keys=True,
+        )
+        final = self.path(digest)
+        final.parent.mkdir(parents=True, exist_ok=True)
+        tmp = final.with_name(f".{digest}.{uuid.uuid4().hex[:8]}.tmp")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(envelope)
+            handle.flush()
+            os.fsync(handle.fileno())
         try:
-            entry = json.loads(line)
-            key = entry["key"]
-            payload = entry["payload"]
-            digest = entry["digest"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            continue
-        if _digest(payload) == digest:
-            seen.add(key)
-    return len(seen)
+            for _attempt in (0, 1):
+                try:
+                    os.link(tmp, final)
+                    return True
+                except FileExistsError:
+                    if self.load(digest) is not MISSING:
+                        return False  # a valid result beat us; defer to it
+                    final.unlink(missing_ok=True)  # heal, then relink once
+            return self.load(digest) is not MISSING
+        finally:
+            tmp.unlink(missing_ok=True)
+
+    def payload(self, digest: str) -> Optional[str]:
+        """The payload text of a well-formed blob of ``digest``, else None.
+
+        Checks the envelope only -- schema, task digest and payload
+        digest -- and never unpickles.
+        """
+        try:
+            env = json.loads(self.path(digest).read_text(encoding="utf-8"))
+            payload = env["payload"]
+            valid = (
+                env["schema"] == RESULT_SCHEMA
+                and env["task"] == digest
+                and digest_text(payload) == env["digest"]
+            )
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None  # absent, torn or malformed
+        return payload if valid else None
+
+    def load(self, digest: str) -> object:
+        """The committed value of ``digest``, or :data:`MISSING`.
+
+        An invalid blob is never returned: it reads as absent.
+        """
+        payload = self.payload(digest)
+        if payload is None:
+            return MISSING
+        try:
+            return pickle.loads(base64.b64decode(payload))
+        except Exception:  # pickled against classes that have changed
+            return MISSING
+
+    def blobs(self) -> Iterator[Path]:
+        if not self.root.exists():
+            return iter(())
+        return iter(sorted(self.root.glob("*/*.json")))
+
+
+def default_store_dir(runs_dir: os.PathLike) -> Path:
+    """The store shared by every run under one runs directory."""
+    return Path(runs_dir) / "store"
 
 
 # ----------------------------------------------------------------------
@@ -495,10 +385,23 @@ def _emit(obs, etype: EventType, count: int = 1, **payload: object) -> None:
 
 
 def _infrastructure_failure(exc: BaseException) -> bool:
-    """Pool/pickling plumbing failures, as opposed to task logic errors."""
-    if isinstance(exc, (BrokenProcessPool, OSError, pickle.PicklingError)):
+    """Pool/pickling plumbing failures, as opposed to task logic errors.
+
+    ``BrokenExecutor`` covers dead workers and fork refusal; pickling
+    failures surface as :class:`pickle.PicklingError` or -- depending
+    on what exactly refused to serialize, e.g. a function defined
+    inside another -- as a ``TypeError`` or ``AttributeError`` whose
+    message names pickling (a heuristic, but the cost of a miss is only
+    a serial rerun of pure functions).  The one classifier both
+    :func:`supervised_map` and :func:`repro.sim.parallel.map_ordered`
+    use.
+    """
+    if isinstance(exc, (BrokenExecutor, OSError, pickle.PicklingError)):
         return True
-    return isinstance(exc, TypeError) and "pickle" in str(exc).lower()
+    return (
+        isinstance(exc, (TypeError, AttributeError))
+        and "pickle" in str(exc).lower()
+    )
 
 
 def _chaos_invoke(fn, item, chaos, key: str, attempt: int):
@@ -551,6 +454,18 @@ def _wait_timeout(
     return max(0.01, min(_TICK_SECONDS, nearest))
 
 
+def _task_keys(keys: Optional[Sequence[str]], count: int) -> List[str]:
+    """Validated task keys: stable, unique, one per item."""
+    if keys is None:
+        return [f"task-{i:04d}" for i in range(count)]
+    keys = [str(key) for key in keys]
+    if len(keys) != count:
+        raise ValueError("keys must match items one-to-one")
+    if len(set(keys)) != len(keys):
+        raise ValueError("task keys must be unique")
+    return keys
+
+
 def supervised_map(
     fn: Callable[[T], R],
     items: Sequence[T],
@@ -558,7 +473,7 @@ def supervised_map(
     *,
     keys: Optional[Sequence[str]] = None,
     policy: Optional[ResiliencePolicy] = None,
-    journal: Optional[Journal] = None,
+    commit: Optional[Callable[[int, R], object]] = None,
     obs=None,
     chaos=None,
     report: Optional[SupervisionReport] = None,
@@ -571,76 +486,40 @@ def supervised_map(
     is retried once and then **raised** -- the whole map is never
     silently replayed serially.
 
-    ``keys`` (stable, unique, one per item) name tasks in journal
-    entries and supervision events; ``journal`` enables
-    checkpoint/resume; ``chaos`` injects seeded failures (tests/CI);
-    ``obs`` receives trace events and ``resilience`` counters;
-    ``report`` accumulates counters across calls.
+    ``keys`` (stable, unique, one per item) name tasks in supervision
+    events; ``commit(index, value)`` runs for every finished task
+    before the map moves on (the checkpoint hook :class:`Supervisor`
+    uses); ``chaos`` injects seeded failures (tests/CI); ``obs``
+    receives trace events and ``resilience`` counters; ``report``
+    accumulates counters across calls.
     """
-    from repro.sim.parallel import resolve_jobs  # parallel imports us lazily
+    from repro.sim.parallel import resolve_jobs  # lazy: parallel imports us
 
     items = list(items)
     policy = policy or ResiliencePolicy()
     report = report if report is not None else SupervisionReport()
-    if keys is None:
-        keys = [f"task-{i:04d}" for i in range(len(items))]
-    keys = [str(key) for key in keys]
-    if len(keys) != len(items):
-        raise ValueError("keys must match items one-to-one")
-    if len(set(keys)) != len(keys):
-        raise ValueError("task keys must be unique")
+    keys = _task_keys(keys, len(items))
 
     results: Dict[int, R] = {}
-    if journal is not None:
-        recorded = journal.load()
-        report.journal_corrupt_entries += journal.corrupt_entries
-        report.journal_truncated_lines += journal.truncated_lines
-        dropped = journal.corrupt_entries + journal.truncated_lines
-        if dropped:
-            # Damage tolerance must be observable, not invisible: every
-            # dropped entry is a task silently re-executed on resume.
-            _emit(
-                obs, EventType.JOURNAL_DROPPED, count=dropped,
-                journal=str(journal.path),
-                corrupt=journal.corrupt_entries,
-                truncated=journal.truncated_lines,
-            )
-            logger.warning(
-                "journal %s: dropped %d damaged entries (%d corrupt, %d "
-                "truncated); those tasks will re-execute",
-                journal.path, dropped, journal.corrupt_entries,
-                journal.truncated_lines,
-            )
-        for index, key in enumerate(keys):
-            if key in recorded:
-                results[index] = recorded[key]  # type: ignore[assignment]
-                report.resume_skips += 1
-                _emit(obs, EventType.EXEC_RESUME_SKIP, key=key)
-
-    pending = [index for index in range(len(items)) if index not in results]
     abort_after = getattr(chaos, "abort_after", None)
-    live_done = 0
 
     def finish(index: int, value: R) -> None:
-        nonlocal live_done
         results[index] = value
         report.completed += 1
-        if journal is not None:
-            journal.record(keys[index], value)
-        live_done += 1
-        if abort_after is not None and live_done >= abort_after:
+        if commit is not None:
+            commit(index, value)
+        if abort_after is not None and len(results) >= abort_after:
             raise ExecutionAborted(
-                f"aborted after {live_done} completed tasks (chaos)"
+                f"aborted after {len(results)} completed tasks (chaos)"
             )
 
-    workers = min(resolve_jobs(jobs), max(1, len(pending)))
-    if pending and workers > 1:
+    workers = min(resolve_jobs(jobs), max(1, len(items)))
+    if workers > 1:
         _supervise(
-            fn, items, keys, pending, workers, policy, obs, chaos, report,
-            finish,
+            fn, items, keys, workers, policy, obs, chaos, report, finish,
         )
     else:
-        for index in pending:
+        for index in range(len(items)):
             report.attempts += 1
             finish(index, fn(items[index]))
     return [results[index] for index in range(len(items))]
@@ -650,7 +529,6 @@ def _supervise(
     fn,
     items: Sequence,
     keys: Sequence[str],
-    pending: Sequence[int],
     workers: int,
     policy: ResiliencePolicy,
     obs,
@@ -659,7 +537,7 @@ def _supervise(
     finish: Callable[[int, object], None],
 ) -> None:
     """The parallel supervision loop (see module docstring)."""
-    queue = deque(pending)
+    queue = deque(range(len(items)))
     ready_at: Dict[int, float] = {}
     transient: Dict[int, int] = {}
     errors: Dict[int, int] = {}
@@ -828,67 +706,49 @@ def _supervise(
 
 
 # ----------------------------------------------------------------------
-# Supervisor: policy + journal + chaos bundled for the fan-out callers
+# Supervisor: policy + checkpoint + chaos bundled for the fan-out callers
 # ----------------------------------------------------------------------
 
 def default_runs_dir() -> Path:
     return Path(os.environ.get("REPRO_RUNS_DIR") or "runs")
 
 
-def new_run_id() -> str:
-    """A fresh collision-resistant run identifier."""
-    return uuid.uuid4().hex[:12]
-
-
 class Supervisor:
-    """One run's supervision state: policy, journal root, chaos, obs.
+    """One run's supervision state: policy, checkpoint root, chaos, obs.
 
     The scenario/scheme and campaign fan-outs call :meth:`map` instead
-    of a bare pool map; each call journals (when ``run_id`` is set)
-    into its own file ``runs/<run-id>/<kind>-<digest>.jsonl``, so a
-    multi-experiment report resumes per fan-out.
-
-    With ``fabric_workers`` set the map is executed by the distributed
-    campaign fabric instead (:mod:`repro.sim.fabric`): ``N``
-    independent worker processes claim task leases from a spooled
-    work-queue and commit results into the content-addressed store
-    shared by every run under ``runs_dir`` -- see ``docs/fabric.md``.
+    of a bare pool map.  With a ``run_id`` every call is checkpointed
+    in the content-addressed :class:`ResultStore` shared by all runs
+    under ``runs_dir``: valid blobs are reused, every finished task is
+    committed, and anything absent or invalid re-executes.  Reusing a
+    run id (``--resume``) and starting a fresh one behave the same;
+    the run directory ``<runs-dir>/<run-id>/`` is created and touched
+    on each call, which anchors ``repro gc``'s LRU cutoff.
     """
 
     def __init__(
         self,
         policy: Optional[ResiliencePolicy] = None,
         run_id: Optional[str] = None,
-        resume: bool = False,
         runs_dir: Optional[os.PathLike] = None,
         chaos=None,
         obs=None,
-        fabric_workers: Optional[int] = None,
-        lease_ttl: Optional[float] = None,
-        fabric_wall_timeout: Optional[float] = None,
     ) -> None:
         self.policy = policy or ResiliencePolicy()
-        self.fabric_workers = fabric_workers
-        if run_id is None and fabric_workers is not None:
-            run_id = new_run_id()  # the fabric spool needs a run dir
         self.run_id = run_id
-        self.resume = resume
         self.runs_dir = Path(runs_dir) if runs_dir is not None else (
             default_runs_dir()
         )
-        self.lease_ttl = lease_ttl
-        self.fabric_wall_timeout = fabric_wall_timeout
         self.chaos = chaos
         self.obs = obs
         self.report = SupervisionReport()
-        self._opened: set = set()
         if obs is not None:
             registry = getattr(obs, "registry", None)
             if registry is not None:
                 registry.group("resilience").declare(*RESILIENCE_COUNTERS)
 
     @property
-    def journaling(self) -> bool:
+    def checkpointing(self) -> bool:
         return self.run_id is not None
 
     def run_dir(self) -> Path:
@@ -896,52 +756,9 @@ class Supervisor:
             raise ValueError("supervisor has no run_id")
         return self.runs_dir / self.run_id
 
-    def journal_path(self, kind: str, context: str) -> Path:
-        return self.run_dir() / f"{kind}-{_digest(f'{kind}:{context}')[:12]}.jsonl"
-
     def store_dir(self) -> Path:
         """The content-addressed result store shared across runs."""
-        from repro.sim.fabric import default_store_dir
-
         return default_store_dir(self.runs_dir)
-
-    def _fabric_map(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        keys: Optional[Sequence[str]],
-        kind: str,
-        context: str,
-    ) -> List[R]:
-        from repro.sim import fabric
-
-        if keys is None:
-            raise ValueError("the fabric requires stable task keys")
-        freport = fabric.FabricReport()
-        ttl = (
-            self.lease_ttl
-            if self.lease_ttl is not None
-            else fabric.DEFAULT_LEASE_TTL
-        )
-        try:
-            return fabric.fabric_map(
-                fn,
-                items,
-                keys=keys,
-                kind=kind,
-                context=context,
-                run_dir=self.run_dir(),
-                store_dir=self.store_dir(),
-                workers=self.fabric_workers or 2,
-                ttl=ttl,
-                chaos=self.chaos,
-                obs=self.obs,
-                report=freport,
-                wall_timeout=self.fabric_wall_timeout,
-                task_error_retries=self.policy.task_error_retries,
-            )
-        finally:
-            self.report.fold_fabric(freport)
 
     def map(
         self,
@@ -953,31 +770,58 @@ class Supervisor:
         context: str = "",
         jobs: Optional[int] = None,
     ) -> List[R]:
-        """Supervised ordered map, journaled when ``run_id`` is set."""
-        if self.fabric_workers is not None:
-            return self._fabric_map(fn, items, keys, kind, context)
-        journal = None
-        if self.journaling:
-            if keys is None:
-                raise ValueError("journaling requires stable task keys")
-            path = self.journal_path(kind, context)
-            # A repeated identical fan-out within the same process run
-            # (memo cleared, bench repetition) continues its own file.
-            resume = self.resume or str(path) in self._opened
-            journal = Journal.open(
-                path, kind, context, keys, run_id=self.run_id or "",
-                resume=resume,
-            )
-            self._opened.add(str(path))
-        try:
+        """Supervised ordered map, checkpointed when ``run_id`` is set."""
+        if not self.checkpointing:
             return supervised_map(
                 fn, items, jobs,
-                keys=keys, policy=self.policy, journal=journal,
-                obs=self.obs, chaos=self.chaos, report=self.report,
+                keys=keys, policy=self.policy, obs=self.obs,
+                chaos=self.chaos, report=self.report,
             )
-        finally:
-            if journal is not None:
-                journal.close()
+        if keys is None:
+            raise ValueError("checkpointing requires stable task keys")
+        items = list(items)
+        keys = _task_keys(keys, len(items))
+        run_dir = self.run_dir()
+        run_dir.mkdir(parents=True, exist_ok=True)
+        os.utime(run_dir)
+        store = ResultStore(self.store_dir())
+        digests = [task_digest(kind, context, key, fn) for key in keys]
+        results: Dict[int, R] = {}
+        pending: List[int] = []
+        for index, digest in enumerate(digests):
+            value = store.load(digest)
+            if value is MISSING:
+                pending.append(index)
+                if store.path(digest).exists():
+                    # Damage must be observable: this task re-executes
+                    # and its commit heals the blob.
+                    self.report.dropped_results += 1
+                    _emit(self.obs, EventType.RESULT_DROPPED, key=keys[index])
+                    logger.warning(
+                        "store blob of task %s is invalid; re-executing it",
+                        keys[index],
+                    )
+                continue
+            results[index] = value  # type: ignore[assignment]
+            self.report.resume_skips += 1
+            _emit(self.obs, EventType.EXEC_RESUME_SKIP, key=keys[index])
+            try:
+                os.utime(store.path(digest))  # LRU signal for `repro gc`
+            except OSError:
+                pass
+
+        def commit(position: int, value: R) -> None:
+            index = pending[position]
+            store.commit(digests[index], keys[index], value)
+
+        fresh = supervised_map(
+            fn, [items[index] for index in pending], jobs,
+            keys=[keys[index] for index in pending], policy=self.policy,
+            commit=commit, obs=self.obs, chaos=self.chaos,
+            report=self.report,
+        )
+        results.update(zip(pending, fresh))
+        return [results[index] for index in range(len(items))]
 
 
 # ----------------------------------------------------------------------

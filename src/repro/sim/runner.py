@@ -165,12 +165,12 @@ def run_scenario(
     from repro.sim import parallel, resilient  # runner is imported by parallel
 
     supervisor = resilient.current_supervisor()
-    journaling = supervisor is not None and supervisor.journaling
+    checkpointing = supervisor is not None and supervisor.checkpointing
     workers = parallel.resolve_jobs(jobs)
-    # A journaling supervisor routes even serial runs through the
+    # A checkpointing supervisor routes even serial runs through the
     # fan-out, so checkpoints exist at the same task granularity
     # whatever the worker count.
-    if (workers > 1 or journaling) and obs_factory is None and len(
+    if (workers > 1 or checkpointing) and obs_factory is None and len(
         scheme_names
     ) > 1:
         return parallel.run_schemes_parallel(
@@ -195,15 +195,15 @@ def run_many(
     ``jobs`` above 1 dispatches the whole cross-product to
     :func:`repro.sim.parallel.run_scenarios` (slim, picklable results);
     ``None`` consults ``REPRO_JOBS`` and otherwise stays serial.  A
-    journaling supervisor (``--run-id``/``--resume``) also routes the
+    checkpointing supervisor (``--run-id``/``--resume``) also routes the
     serial case through the fan-out so checkpoints are written and
-    replayed at the same task granularity regardless of ``jobs``.
+    reused at the same task granularity regardless of ``jobs``.
     """
     from repro.sim import parallel, resilient  # runner is imported by parallel
 
     supervisor = resilient.current_supervisor()
     workers = parallel.resolve_jobs(jobs)
-    if workers > 1 or (supervisor is not None and supervisor.journaling):
+    if workers > 1 or (supervisor is not None and supervisor.checkpointing):
         return parallel.run_scenarios(
             scenarios, scheme_names, config, duration_cycles, seed, warmup,
             jobs=workers,

@@ -1,26 +1,25 @@
-"""Garbage collection for run journals and the fabric result store.
+"""Garbage collection for run directories and the result store.
 
-The fabric (``docs/fabric.md``) makes unbounded growth a real problem:
-every run leaves a ``runs/<id>/`` directory of checkpoint journals and
-lease spools, and the shared content-addressed store accretes one blob
-per distinct task forever.  ``python -m repro gc`` prunes both:
+Every checkpointed run leaves a ``runs/<id>/`` directory, and the
+shared content-addressed store (``docs/resilience.md``) accretes one
+blob per distinct task forever.  ``python -m repro gc`` prunes both:
 
 * **Run directories** -- everything under ``--runs-dir`` except the
-  store, newest ``--keep`` kept (by directory mtime), the rest
-  deleted.  A resumable run older than the keep window is assumed
-  abandoned.
+  store, newest ``--keep`` kept (by directory mtime, which every
+  checkpointed fan-out touches), the rest deleted.
 * **Store blobs** -- three classes go:
 
-  - *invalid* blobs (torn writes, digest mismatches) -- always
-    removed; they read as absent anyway and only waste a claimant's
-    heal step;
+  - *invalid* blobs (torn writes, digest mismatches, another schema)
+    -- always removed; they read as absent anyway and only cost the
+    next committer a heal step.  Only the envelope is checked
+    (:meth:`ResultStore.payload`); gc never unpickles a payload;
   - *temp litter* -- ``.*.tmp`` files orphaned by killed committers;
   - *orphaned* blobs -- older than the oldest *kept* run directory
-    (or ``--store-max-age``, when given).  ``fabric_map`` touches a
-    blob's mtime on every warm reuse, so this is an LRU discipline:
-    a blob no surviving run has needed since before the keep window
-    opened cannot be referenced again except by recomputation, which
-    the store absorbs.
+    (or ``--store-max-age``, when given).  The supervisor touches a
+    blob's mtime on every reuse, so this is an LRU discipline: a blob
+    no surviving run has needed since before the keep window opened
+    cannot be referenced again except by recomputation, which the
+    store absorbs.
 
 Deletion order is runs first, then blobs, so an interrupted gc never
 leaves a kept run pointing at a pruned blob it would still have used.
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
-from repro.sim.fabric import ResultStore, default_store_dir
+from repro.sim.resilient import ResultStore, default_store_dir
 
 
 @dataclass
@@ -129,7 +128,7 @@ def collect_garbage(
         for blob in store.blobs():
             digest = blob.stem
             size = blob.stat().st_size
-            if store.read_envelope(digest) is None:
+            if store.payload(digest) is None:  # envelope check, no unpickle
                 report.invalid_blobs_removed += 1
                 report.bytes_freed += size
                 if not dry_run:

@@ -283,7 +283,7 @@ class TestHealLiveness:
     property above cannot see a heal that never succeeds: a one-call and
     a line-by-line write fail alike."""
 
-    @settings(max_examples=3, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(
         st.integers(min_value=4, max_value=8),
         st.sampled_from([512, 4096, CHUNK_BYTES, "stream"]),

@@ -120,9 +120,9 @@ class TestResilienceFlags:
         )
         supervisor = _supervisor(args)
         assert supervisor is not None
-        assert supervisor.journaling
+        assert supervisor.checkpointing
         assert supervisor.run_id == "r9"
-        assert not supervisor.resume
+        assert supervisor.store_dir() == tmp_path / "store"
 
     def test_resume_flag_sets_resume_mode(self, tmp_path):
         from repro.cli import _supervisor
@@ -131,7 +131,8 @@ class TestResilienceFlags:
             ["simulate", "--resume", "r9", "--runs-dir", str(tmp_path)]
         )
         supervisor = _supervisor(args)
-        assert supervisor.run_id == "r9" and supervisor.resume
+        # --resume ID is --run-id ID: the store decides what is reused.
+        assert supervisor.run_id == "r9" and supervisor.checkpointing
 
     def test_timeout_alone_supervises_without_journal(self):
         from repro.cli import _supervisor
@@ -139,7 +140,7 @@ class TestResilienceFlags:
         args = build_parser().parse_args(["simulate", "--timeout", "5"])
         supervisor = _supervisor(args)
         assert supervisor is not None
-        assert not supervisor.journaling
+        assert not supervisor.checkpointing
         assert supervisor.policy.timeout_seconds == 5.0
 
     def test_supervised_simulate_runs(self, capsys, tmp_path):
@@ -156,8 +157,8 @@ class TestResilienceFlags:
         )
         assert code == 0
         assert (tmp_path / "cli-test").is_dir()
-        journals = list((tmp_path / "cli-test").glob("*.jsonl"))
-        assert journals, "journal was not written"
+        blobs = list((tmp_path / "store").glob("*/*.json"))
+        assert blobs, "no result was checkpointed"
 
 
 class TestChaosCommand:

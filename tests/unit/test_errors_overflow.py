@@ -150,6 +150,33 @@ class TestEngineOverflowRecovery:
         assert mem.read(0, 192) == b"\x33" * 192
         assert mem.is_quarantined(192) and not mem.is_quarantined(128)
 
+    def test_heal_at_the_limit_rekeys_the_chunk_once(self, keys):
+        mem = SecureMemory(
+            1 << 20, keys=keys, failure_policy="quarantine", counter_bits=6
+        )
+        mem.write(0, b"\x11" * CHUNK_BYTES)
+        for i in range(60):
+            mem.write(i * CACHELINE_BYTES, b"\x22" * CACHELINE_BYTES)
+        mem.tamper_data(0)
+        with pytest.raises(QuarantineError):
+            mem.read(0, CACHELINE_BYTES)
+        mem.write(0, b"\x33" * 192)
+        assert mem.events.get("chunk_reencryptions") == 1
+        # Line 192's counter restarted with the re-key but it is still
+        # quarantined: zeroed ciphertext must not read as a pristine line.
+        assert mem.is_quarantined(192)
+        mem.dram.replay_line(192, bytes(CACHELINE_BYTES))
+        with pytest.raises(QuarantineError):
+            mem.read(192, CACHELINE_BYTES)
+        data = bytes(range(256)) * (CHUNK_BYTES // 256)
+        for addr in range(192, CHUNK_BYTES, 192):
+            end = min(addr + 192, CHUNK_BYTES)
+            mem.write(addr, data[addr:end])
+        assert mem.events.get("chunk_reencryptions") == 1
+        assert mem.quarantined_lines() == []
+        mem.tree.drop_trust_cache()
+        assert mem.read(192, CHUNK_BYTES - 192) == data[192:]
+
     def test_write_over_a_deleted_mac_at_the_counter_limit(self, keys):
         mem = SecureMemory(REGION, keys=keys, policy="fixed", counter_bits=3)
         for i in range(7):

@@ -9,11 +9,12 @@ import pytest
 from repro.faults.exec_chaos import (
     ChaosReport,
     ChaosSpec,
-    break_journal_schema,
-    corrupt_journal_entry,
-    truncate_journal,
+    break_blob_schema,
+    corrupt_blob,
+    tear_blob,
+    valid_blobs,
 )
-from repro.sim.resilient import Journal, JournalError
+from repro.sim.resilient import MISSING, ResultStore, task_digest
 
 
 class TestChaosSpec:
@@ -62,55 +63,47 @@ class TestChaosSpec:
         assert pickle.loads(pickle.dumps(spec)) == spec
 
 
+def _value(x):
+    return x
+
+
 @pytest.fixture
-def journal_path(tmp_path):
-    path = tmp_path / "j.jsonl"
-    journal = Journal.open(path, "sweep", "ctx", ["a", "b", "c"], resume=False)
-    journal.record("a", {"x": 1})
-    journal.record("b", {"x": 2})
-    journal.record("c", {"x": 3})
-    journal.close()
-    return path
+def store(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    for key in ("a", "b", "c"):
+        store.commit(task_digest("sweep", "ctx", key, _value), key, {"x": key})
+    return store
 
 
-def _reload(path, strict=False):
-    journal = Journal.open(path, "sweep", "ctx", ["a", "b", "c"], resume=True)
-    loaded = journal.load(strict=strict)
-    return loaded, journal
+class TestStoreDamageHelpers:
+    def test_each_helper_invalidates_only_its_blob(self, store):
+        blobs = valid_blobs(store)
+        assert len(blobs) == 3
+        damages = (corrupt_blob, tear_blob, break_blob_schema)
+        for i, (damage, path) in enumerate(zip(damages, blobs)):
+            damage(path)
+            assert path.exists() and store.load(path.stem) is MISSING
+            assert valid_blobs(store) == blobs[i + 1:]
 
+    def test_damage_keeps_the_rest_of_the_envelope(self, store):
+        path = valid_blobs(store)[0]
+        before = json.loads(path.read_text(encoding="utf-8"))
+        corrupt_blob(path)
+        after = json.loads(path.read_text(encoding="utf-8"))
+        assert after["payload"] != before["payload"]
+        assert {k: v for k, v in after.items() if k != "payload"} == {
+            k: v for k, v in before.items() if k != "payload"
+        }
+        break_blob_schema(path)
+        assert json.loads(path.read_text(encoding="utf-8"))["schema"] == (
+            "repro-result/v0"
+        )
 
-class TestJournalDamageHelpers:
-    def test_corrupt_entry_drops_only_that_key(self, journal_path):
-        key = corrupt_journal_entry(journal_path, entry_index=1)
-        assert key == "b"
-        loaded, journal = _reload(journal_path)
-        assert loaded == {"a": {"x": 1}, "c": {"x": 3}}
-        assert journal.corrupt_entries == 1
-
-    def test_corrupt_out_of_range(self, journal_path):
-        with pytest.raises(IndexError):
-            corrupt_journal_entry(journal_path, entry_index=9)
-
-    def test_truncate_keeps_prefix_with_partial_tail(self, journal_path):
-        truncate_journal(journal_path, keep_entries=1, partial=True)
-        text = journal_path.read_text()
-        assert not text.endswith("\n")  # crash residue: unterminated line
-        loaded, journal = _reload(journal_path)
-        assert loaded == {"a": {"x": 1}}
-        assert journal.truncated_lines == 1
-
-    def test_truncate_clean(self, journal_path):
-        truncate_journal(journal_path, keep_entries=2, partial=False)
-        loaded, journal = _reload(journal_path)
-        assert loaded == {"a": {"x": 1}, "b": {"x": 2}}
-        assert journal.truncated_lines == 0
-
-    def test_break_schema_rejected_on_reopen(self, journal_path):
-        break_journal_schema(journal_path)
-        header = json.loads(journal_path.read_text().splitlines()[0])
-        assert header["schema"] == "repro-journal/v0"
-        with pytest.raises(JournalError):
-            _reload(journal_path)
+    def test_torn_blob_is_not_json(self, store):
+        path = valid_blobs(store)[0]
+        tear_blob(path)
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(path.read_text(encoding="utf-8"))
 
 
 class TestChaosReport:

@@ -2,24 +2,21 @@
 
 from __future__ import annotations
 
-import json
-import os
-
 import pytest
 
+from repro.faults.exec_chaos import corrupt_blob, valid_blobs
+from repro.sim import resilient
 from repro.sim.resilient import (
-    JOURNAL_SCHEMA,
     ExecutionAborted,
-    Journal,
-    JournalError,
     LostResultError,
     ResiliencePolicy,
+    ResultStore,
     Supervisor,
     SupervisionReport,
-    count_journal_entries,
     current_supervisor,
     supervised_map,
     supervision,
+    task_digest,
 )
 
 
@@ -53,98 +50,6 @@ class TestResiliencePolicy:
         assert a != b
 
 
-class TestJournal:
-    def _open(self, tmp_path, keys=("a", "b"), resume=False):
-        return Journal.open(
-            tmp_path / "j.jsonl", "sweep", "ctx", list(keys),
-            run_id="r1", resume=resume,
-        )
-
-    def test_roundtrip(self, tmp_path):
-        journal = self._open(tmp_path)
-        journal.record("a", {"value": 1})
-        journal.record("b", [1, 2, 3])
-        journal.close()
-        loaded = self._open(tmp_path, resume=True).load()
-        assert loaded == {"a": {"value": 1}, "b": [1, 2, 3]}
-
-    def test_latest_wins(self, tmp_path):
-        journal = self._open(tmp_path)
-        journal.record("a", 1)
-        journal.record("a", 2)
-        journal.close()
-        assert self._open(tmp_path, resume=True).load() == {"a": 2}
-
-    def test_existing_file_requires_resume(self, tmp_path):
-        self._open(tmp_path).close()
-        with pytest.raises(JournalError, match="--resume"):
-            self._open(tmp_path, resume=False)
-
-    def test_key_set_mismatch_rejected(self, tmp_path):
-        self._open(tmp_path).close()
-        with pytest.raises(JournalError, match="different run"):
-            self._open(tmp_path, keys=("a", "b", "c"), resume=True)
-
-    def test_schema_mismatch_rejected(self, tmp_path):
-        journal = self._open(tmp_path)
-        journal.record("a", 1)
-        journal.close()
-        path = tmp_path / "j.jsonl"
-        lines = path.read_text().splitlines(keepends=True)
-        header = json.loads(lines[0])
-        header["schema"] = "repro-journal/v99"
-        lines[0] = json.dumps(header) + "\n"
-        path.write_text("".join(lines))
-        with pytest.raises(JournalError, match=JOURNAL_SCHEMA):
-            self._open(tmp_path, resume=True).load()
-
-    def test_corrupt_entry_skipped_not_fatal(self, tmp_path):
-        journal = self._open(tmp_path)
-        journal.record("a", 1)
-        journal.record("b", 2)
-        journal.close()
-        path = tmp_path / "j.jsonl"
-        lines = path.read_text().splitlines(keepends=True)
-        entry = json.loads(lines[1])
-        entry["payload"] = entry["payload"][:-4] + "AAA="
-        lines[1] = json.dumps(entry) + "\n"
-        path.write_text("".join(lines))
-        reopened = self._open(tmp_path, resume=True)
-        assert reopened.load() == {"b": 2}
-        assert reopened.corrupt_entries == 1
-
-    def test_strict_mode_raises_on_corruption(self, tmp_path):
-        journal = self._open(tmp_path)
-        journal.record("a", 1)
-        journal.close()
-        path = tmp_path / "j.jsonl"
-        text = path.read_text().replace('"key": "a"', '"key": "a', 1)
-        path.write_text(text)
-        with pytest.raises(JournalError):
-            self._open(tmp_path, resume=True).load(strict=True)
-
-    def test_unterminated_tail_tolerated(self, tmp_path):
-        journal = self._open(tmp_path)
-        journal.record("a", 1)
-        journal.record("b", 2)
-        journal.close()
-        path = tmp_path / "j.jsonl"
-        text = path.read_text()
-        path.write_text(text[:-10])  # crash mid-append
-        reopened = self._open(tmp_path, resume=True)
-        assert reopened.load() == {"a": 1}
-        assert reopened.truncated_lines == 1
-
-    def test_count_journal_entries_ignores_identity(self, tmp_path):
-        journal = self._open(tmp_path)
-        journal.record("a", 1)
-        journal.record("a", 2)  # duplicate key counts once
-        journal.record("b", 3)
-        journal.close()
-        assert count_journal_entries(tmp_path / "j.jsonl") == 2
-        assert count_journal_entries(tmp_path / "missing.jsonl") == 0
-
-
 class TestSupervisedMapSerial:
     def test_plain_map(self):
         assert supervised_map(double, [1, 2, 3], jobs=1) == [2, 4, 6]
@@ -157,32 +62,14 @@ class TestSupervisedMapSerial:
         with pytest.raises(ValueError, match="unique"):
             supervised_map(double, [1, 2], jobs=1, keys=["k", "k"])
 
-    def test_journal_resume_skips_finished(self, tmp_path):
-        keys = ["a", "b", "c"]
-        journal = Journal.open(
-            tmp_path / "j.jsonl", "map", "ctx", keys, resume=False
-        )
-        report = SupervisionReport()
+    def test_commit_hook_sees_every_finished_task(self):
+        seen = []
         out = supervised_map(
-            double, [1, 2, 3], jobs=1, keys=keys, journal=journal,
-            report=report,
+            double, [1, 2, 3], jobs=1,
+            commit=lambda index, value: seen.append((index, value)),
         )
-        journal.close()
         assert out == [2, 4, 6]
-        assert report.completed == 3
-
-        journal2 = Journal.open(
-            tmp_path / "j.jsonl", "map", "ctx", keys, resume=True
-        )
-        report2 = SupervisionReport()
-        out2 = supervised_map(
-            boom, [1, 2, 3], jobs=1, keys=keys, journal=journal2,
-            report=report2,
-        )
-        journal2.close()
-        # Every task was served from the journal: boom never ran.
-        assert out2 == [2, 4, 6]
-        assert report2.resume_skips == 3 and report2.attempts == 0
+        assert seen == [(0, 2), (1, 4), (2, 6)]
 
     def test_task_error_raises_after_one_retry(self):
         report = SupervisionReport()
@@ -195,17 +82,38 @@ class TestSupervisedMapSerial:
         class Abort:
             abort_after = 2
 
-        keys = ["a", "b", "c", "d"]
-        journal = Journal.open(
-            tmp_path / "j.jsonl", "map", "ctx", keys, resume=False
-        )
+        supervisor = Supervisor(run_id="r1", runs_dir=tmp_path, chaos=Abort())
         with pytest.raises(ExecutionAborted):
-            supervised_map(
-                double, [1, 2, 3, 4], jobs=1, keys=keys, journal=journal,
-                chaos=Abort(),
+            supervisor.map(
+                double, [1, 2, 3, 4], keys=["a", "b", "c", "d"], jobs=1
             )
-        journal.close()
-        assert count_journal_entries(tmp_path / "j.jsonl") == 2
+        # Both tasks finished before the abort were committed first.
+        assert len(valid_blobs(ResultStore(supervisor.store_dir()))) == 2
+
+
+def local_function_map(jobs):
+    """``supervised_map`` over a function defined inside this one."""
+
+    def triple(x):
+        return x * 3
+
+    report = SupervisionReport()
+    return supervised_map(triple, [1, 2], jobs=jobs, report=report), report
+
+
+class TestSupervisedMapParallel:
+    def test_unpicklable_local_function_falls_back_serially(self, caplog):
+        # A local function cannot be pickled to a worker (AttributeError
+        # or PicklingError, by Python version): that is infrastructure,
+        # not a task bug, so each task runs serially with a warning.
+        with caplog.at_level("WARNING", logger="repro.resilient"):
+            out, report = local_function_map(jobs=2)
+        assert out == [3, 6]
+        assert report.serial_fallbacks == 2
+        assert any(
+            "infrastructure failure" in record.getMessage()
+            for record in caplog.records
+        )
 
 
 class TestAmbientSupervision:
@@ -213,7 +121,7 @@ class TestAmbientSupervision:
         monkeypatch.delenv("REPRO_EXEC", raising=False)
         supervisor = current_supervisor()
         assert isinstance(supervisor, Supervisor)
-        assert not supervisor.journaling
+        assert not supervisor.checkpointing
 
     def test_plain_env_opts_out(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC", "plain")
@@ -239,31 +147,91 @@ class TestAmbientSupervision:
 
 
 class TestSupervisor:
-    def test_journaling_requires_keys(self, tmp_path):
+    def test_checkpointing_requires_keys(self, tmp_path):
         supervisor = Supervisor(run_id="r1", runs_dir=tmp_path)
         with pytest.raises(ValueError, match="keys"):
             supervisor.map(double, [1, 2])
 
-    def test_map_journals_and_same_process_reopen(self, tmp_path):
+    def test_map_checkpoints_and_reuses_in_process(self, tmp_path):
         supervisor = Supervisor(run_id="r1", runs_dir=tmp_path)
         keys = ["a", "b"]
         out = supervisor.map(
             double, [1, 2], keys=keys, kind="sweep", context="ctx", jobs=1
         )
         assert out == [2, 4]
+        assert (tmp_path / "r1").is_dir()  # anchors `repro gc`
         # An identical fan-out later in the same process (bench repeat,
-        # cleared memo) reopens its own journal as a resume.
+        # cleared memo) is served from the store.
         out2 = supervisor.map(
             double, [1, 2], keys=keys, kind="sweep", context="ctx", jobs=1
         )
         assert out2 == [2, 4]
         assert supervisor.report.resume_skips == 2
 
-    def test_journal_path_varies_with_context(self, tmp_path):
-        supervisor = Supervisor(run_id="r1", runs_dir=tmp_path)
-        a = supervisor.journal_path("sweep", "ctx-a")
-        b = supervisor.journal_path("sweep", "ctx-b")
-        assert a != b and a.parent == b.parent == tmp_path / "r1"
+    def test_store_resume_skips_finished(self, tmp_path):
+        keys = ["a", "b", "c"]
+        first = Supervisor(run_id="r1", runs_dir=tmp_path)
+        assert first.map(double, [1, 2, 3], keys=keys, jobs=1) == [2, 4, 6]
+        assert first.report.completed == 3
+        # A fresh run id shares the store: every task is reused and
+        # nothing executes.
+        again = Supervisor(run_id="r2", runs_dir=tmp_path)
+        assert again.map(double, [1, 2, 3], keys=keys, jobs=1) == [2, 4, 6]
+        assert again.report.resume_skips == 3 and again.report.attempts == 0
+        # The digest pins the function: another one over the same keys
+        # is never served the stored results.
+        other = Supervisor(run_id="r3", runs_dir=tmp_path)
+        with pytest.raises(ValueError, match="bad item"):
+            other.map(boom, [1, 2, 3], keys=keys, jobs=1)
+
+    def test_resume_after_abort_runs_only_unfinished(self, tmp_path):
+        class Abort:
+            abort_after = 2
+
+        keys = ["a", "b", "c", "d"]
+        crashed = Supervisor(run_id="r1", runs_dir=tmp_path, chaos=Abort())
+        with pytest.raises(ExecutionAborted):
+            crashed.map(double, [1, 2, 3, 4], keys=keys, jobs=1)
+        resumed = Supervisor(run_id="r1", runs_dir=tmp_path)  # --resume r1
+        out = resumed.map(double, [1, 2, 3, 4], keys=keys, jobs=1)
+        assert out == [2, 4, 6, 8]
+        # The two tasks committed before the crash are not run again.
+        assert resumed.report.resume_skips == 2
+        assert resumed.report.attempts == 2
+        assert resumed.report.completed == 2
+
+    def test_corrupt_blob_reexecutes_only_that_task(self, tmp_path):
+        keys = ["a", "b"]
+        first = Supervisor(run_id="r1", runs_dir=tmp_path)
+        assert first.map(double, [1, 2], keys=keys, jobs=1) == [2, 4]
+        store = ResultStore(first.store_dir())
+        corrupt_blob(store.path(task_digest("map", "", "a", double)))
+        again = Supervisor(run_id="r1", runs_dir=tmp_path)
+        assert again.map(double, [1, 2], keys=keys, jobs=1) == [2, 4]
+        # Damage is not fatal: it is counted, only "a" re-executes, and
+        # its commit heals the blob.
+        assert again.report.dropped_results == 1
+        assert again.report.resume_skips == 1
+        assert again.report.completed == 1
+        assert len(valid_blobs(store)) == 2
+
+    def test_blobs_of_another_code_tree_are_not_reused(
+        self, tmp_path, monkeypatch
+    ):
+        keys = ["a", "b"]
+        monkeypatch.setattr(resilient, "code_fingerprint", lambda: "0" * 64)
+        old = Supervisor(run_id="old-tree", runs_dir=tmp_path)
+        assert old.map(double, [1, 2], keys=keys, jobs=1) == [2, 4]
+        monkeypatch.undo()
+        new = Supervisor(run_id="new-tree", runs_dir=tmp_path)
+        assert new.map(double, [1, 2], keys=keys, jobs=1) == [2, 4]
+        assert new.report.resume_skips == 0 and new.report.completed == 2
+        assert len(valid_blobs(ResultStore(new.store_dir()))) == 4
+
+    def test_task_digest_varies_with_context(self):
+        a = task_digest("sweep", "ctx-a", "k", double)
+        b = task_digest("sweep", "ctx-b", "k", double)
+        assert a != b
 
     def test_lost_result_error_is_transient(self):
         assert LostResultError("x").transient is True
@@ -288,9 +256,3 @@ class TestRunsDir:
 
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "elsewhere"))
         assert default_runs_dir() == tmp_path / "elsewhere"
-
-    def test_new_run_ids_are_unique(self):
-        from repro.sim.resilient import new_run_id
-
-        ids = {new_run_id() for _ in range(32)}
-        assert len(ids) == 32

@@ -1,8 +1,9 @@
 """``repro-tenant/v1`` journal semantics: prefix replay, torn tails, heal.
 
-The tenant store is an *ordered* event log (unlike the latest-wins
-task journal of PR 5): state after entry N depends on every entry
-before it, so damage anywhere ends the usable prefix.  These tests pin
+The tenant store is an *ordered* event log (unlike the executor's
+content-addressed result store, whose blobs are independent): state
+after entry N depends on every entry before it, so damage anywhere
+ends the usable prefix.  These tests pin
 that discipline file-by-file, without a daemon in the loop.
 """
 
