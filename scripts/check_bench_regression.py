@@ -27,14 +27,6 @@ silently vacuous, so it is treated as a usage error (exit 2) unless
 comparison.  Schema-version mismatches and malformed JSON exit 2 with
 a one-line error, never a traceback.
 
-With ``--max-overhead`` the script instead acts as the *supervision
-overhead* gate: baseline is a ``REPRO_EXEC=plain`` (bare ``pool.map``)
-snapshot and current a default (supervised-executor) snapshot from the
-same runner; the supervised sweep must cost at most ``1 + overhead``
-times the plain sweep (the resilient layer promises <3% on a clean
-run -- see docs/resilience.md).  Both snapshots must have measured the
-same sweep shape; a mismatch is a usage error.
-
 With ``--min-speedup`` the script instead acts as the *fast-engine*
 gate: baseline is a ``--engine scalar`` snapshot and current a
 ``--engine fast`` snapshot measured back to back on the same runner;
@@ -49,7 +41,7 @@ Usage:
     PYTHONPATH=src python scripts/check_bench_regression.py \
         BASELINE.json CURRENT.json [--sweep-tolerance 0.25] \
         [--scheme-tolerance 0.50] [--allow-missing-sweep] \
-        [--max-overhead 0.03] [--min-speedup 2.0]
+        [--min-speedup 2.0]
 
 Exit status: 0 clean, 1 regression, 2 usage/schema error.
 """
@@ -62,58 +54,9 @@ import sys
 from repro.obs import bench
 
 
-#: Sweep-shape fields that must match for an overhead comparison to be
+#: Sweep-shape fields that must match for a speedup comparison to be
 #: apples-to-apples.
 _SWEEP_SHAPE_FIELDS = ("scenarios", "schemes", "duration_cycles", "jobs")
-
-
-def check_overhead(baseline: dict, current: dict, max_overhead: float) -> int:
-    """Supervision-overhead gate (``--max-overhead``).
-
-    ``baseline`` must be a plain-executor snapshot and ``current`` a
-    supervised one, measured back to back on the same runner with the
-    same sweep shape.
-    """
-    base_sweep = baseline.get("sweep") or {}
-    cur_sweep = current.get("sweep") or {}
-    if not base_sweep or not cur_sweep:
-        print(
-            "error: --max-overhead needs a sweep section in both "
-            "snapshots",
-            file=sys.stderr,
-        )
-        return 2
-    mismatched = [
-        field
-        for field in _SWEEP_SHAPE_FIELDS
-        if base_sweep.get(field) != cur_sweep.get(field)
-    ]
-    if mismatched:
-        print(
-            "error: sweep shapes differ between snapshots "
-            f"({', '.join(mismatched)}); measure both with identical "
-            "--sweep-sample/--sweep-duration/--jobs",
-            file=sys.stderr,
-        )
-        return 2
-    base_min = base_sweep.get("wall_seconds", {}).get("min")
-    cur_min = cur_sweep.get("wall_seconds", {}).get("min")
-    if not base_min or cur_min is None:
-        print("error: sweep wall_seconds.min missing", file=sys.stderr)
-        return 2
-    overhead = (cur_min - base_min) / base_min
-    print(
-        f"supervision overhead: plain {base_min:.4f}s -> supervised "
-        f"{cur_min:.4f}s = {overhead:+.2%} (limit {max_overhead:.2%})"
-    )
-    if overhead > max_overhead:
-        print(
-            f"REGRESSION: supervised sweep costs {overhead:.2%} over the "
-            f"plain executor (limit {max_overhead:.2%})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def check_min_speedup(
@@ -207,12 +150,6 @@ def main(argv=None) -> int:
         "gate only) instead of failing with exit 2",
     )
     parser.add_argument(
-        "--max-overhead", type=float, default=None, metavar="FRACTION",
-        help="supervision-overhead gate: current (supervised) sweep may "
-        "cost at most baseline (REPRO_EXEC=plain) * (1 + FRACTION); "
-        "replaces the regression comparison",
-    )
-    parser.add_argument(
         "--min-speedup", type=float, default=None, metavar="FLOOR",
         help="fast-engine gate: current (--engine fast) sweep must be at "
         "least FLOOR times faster than baseline (--engine scalar); "
@@ -224,13 +161,6 @@ def main(argv=None) -> int:
         "FLOOR (off by default; short timings are noisy)",
     )
     args = parser.parse_args(argv)
-    if args.max_overhead is not None and args.min_speedup is not None:
-        print(
-            "error: --max-overhead and --min-speedup are mutually "
-            "exclusive gates",
-            file=sys.stderr,
-        )
-        return 2
 
     snapshots = {}
     for label, path in (("baseline", args.baseline), ("current", args.current)):
@@ -277,9 +207,6 @@ def main(argv=None) -> int:
             f"notice: sweep section missing from {where} snapshot; "
             "sweep gate skipped (--allow-missing-sweep)"
         )
-
-    if args.max_overhead is not None:
-        return check_overhead(baseline, current, args.max_overhead)
 
     if args.min_speedup is not None:
         return check_min_speedup(

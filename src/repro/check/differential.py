@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.check import oracle as ref
 from repro.check.streams import Op
+from repro.common.canonical import canonical_json, digest_text
 from repro.common.constants import (
     CACHELINE_BYTES,
     CHUNK_BYTES,
@@ -364,18 +365,11 @@ class DifferentialHarness:
             }
             state["switches"] = self.engine.switches
             state["cycle"] = self.engine.cycle
-        blob = _canonical_json(state)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return digest_text(canonical_json(state))
 
     def record_digest(self) -> str:
         """Digest of the per-op observation records (golden corpus)."""
-        return hashlib.sha256(_canonical_json(self.records).encode()).hexdigest()
-
-
-def _canonical_json(value) -> str:
-    import json
-
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+        return digest_text(canonical_json(self.records))
 
 
 def replay_spec(

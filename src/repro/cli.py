@@ -60,8 +60,9 @@ def _jobs(args: argparse.Namespace) -> int:
 def _supervisor(args: argparse.Namespace):
     """Build the run's Supervisor from the resilience flags (or None).
 
-    ``None`` leaves the ambient default in force (supervised, no
-    checkpoint; ``REPRO_EXEC=plain`` opts out entirely).  Any explicit
+    ``None`` leaves the ambient default in force: each fan-out runs
+    under a fresh supervisor with the default policy and no
+    checkpoint.  Any explicit
     flag -- ``--run-id``, ``--resume``, ``--timeout``, ``--retries`` --
     pins an explicit supervisor for the whole command; ``--run-id`` and
     ``--resume`` (the same thing) checkpoint every task in the result

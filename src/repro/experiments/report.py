@@ -95,9 +95,7 @@ def generate_report(
     from repro.sim.resilient import current_supervisor
 
     supervisor = current_supervisor()
-    if supervisor is not None and (
-        supervisor.report.attempts or supervisor.report.resume_skips
-    ):
+    if supervisor.report.attempts or supervisor.report.resume_skips:
         out.write("\n## Supervision\n\n```\n")
         out.write(supervisor.report.summary() + "\n")
         for name, value in sorted(supervisor.report.as_dict().items()):

@@ -341,7 +341,8 @@ class SecureMemory:
             raise QuarantineError(
                 f"write to hard-quarantined line {line_addr:#x}"
             )
-        if state == "heal":
+        healed = state == "heal"
+        if healed:
             self._heal_line(line_addr)
         granularity = self._resolve(line_addr, is_write=True)
         try:
@@ -363,7 +364,12 @@ class SecureMemory:
                     addr=line_addr,
                 )
             chunk_b = chunk_base(line_addr)
-            self._reencrypt_chunk(chunk_b)
+            # A healed line may still hold its tampered seal: never carry
+            # it, and restart its counter under the new epoch instead.
+            skip = line_addr if healed and level == 0 else None
+            self._reencrypt_chunk(chunk_b, skip_base=skip, skip_size=CACHELINE_BYTES)
+            if skip is not None:
+                self.tree.set_counter(line_addr, 0, 0)
             if level == 0:
                 self._restart_unsealed_counters(line_addr, chunk_b)
             self._write_line_at(line_addr, payload, granularity)

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from typing import Dict, List, Optional, Sequence
 
+from repro.common.canonical import canonical_json
 from repro.common.config import SoCConfig
 from repro.crypto.keys import KeySet
 from repro.devices.issue import DeviceIssueState, device_config_for
@@ -46,11 +46,6 @@ ATTEST_SCHEMA = "repro-attest/v1"
 
 #: Column order of one observable row.
 OBSERVABLE_FIELDS = ("seq", "device", "addr", "op", "issue", "completion")
-
-
-def canonical_json(obj) -> str:
-    """Canonical JSON: sorted keys, no whitespace -- digest/tag input."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class EngineSession:

@@ -45,6 +45,8 @@ import json
 import struct
 from typing import Dict, Optional, Tuple
 
+from repro.common.canonical import canonical_json
+
 WIRE_SCHEMA = "repro-wire/v1"
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 _HEADER = struct.Struct(">I")
@@ -126,11 +128,6 @@ class TooLargeError(WireError):
     """
 
     code = "too-large"
-
-
-def canonical(obj) -> str:
-    """Canonical JSON (sorted keys, no whitespace) for tags/digests."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +217,7 @@ def tag_for(
     """Keyed-BLAKE2b tag over AAD (tenant|op|seq) + canonical body."""
     aad = f"{tenant}|{op}|{seq}|".encode("utf-8")
     return hashlib.blake2b(
-        aad + canonical(body).encode("utf-8"),
+        aad + canonical_json(body).encode("utf-8"),
         key=secret[:64],
         digest_size=16,
         person=b"repro-wire",
@@ -339,7 +336,7 @@ def sign_report(
     signed.pop("service_kid", None)
     signed["service_kid"] = kid_for(service_secret)
     signed["sig"] = hashlib.blake2b(
-        canonical(dict(body)).encode("utf-8"),
+        canonical_json(dict(body)).encode("utf-8"),
         key=service_secret[:64],
         digest_size=32,
         person=b"repro-att",
@@ -357,7 +354,7 @@ def verify_report(
     if report.get("service_kid") != kid_for(service_secret):
         return False
     expected = hashlib.blake2b(
-        canonical(body).encode("utf-8"),
+        canonical_json(body).encode("utf-8"),
         key=service_secret[:64],
         digest_size=32,
         person=b"repro-att",

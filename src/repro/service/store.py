@@ -2,7 +2,7 @@
 
 Each tenant the daemon opens with a ``--state-dir`` gets one
 append-only, fsync'd JSONL journal sharing the digest discipline of
-:func:`repro.sim.resilient.digest_text`: line 1 is a header
+:func:`repro.common.canonical.digest_text`: line 1 is a header
 binding the file to one (tenant, key-id, session-params) identity, and
 every further line carries one entry wrapped with a SHA-256 digest of
 its canonical JSON::
@@ -38,15 +38,10 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.resilient import digest_text
+from repro.common.canonical import canonical_json, digest_text
 
 #: Tenant-journal schema identifier; bump on incompatible change.
 TENANT_SCHEMA = "repro-tenant/v1"
-
-
-def canonical(obj) -> str:
-    """Canonical JSON (sorted keys, no whitespace) for entry digests."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class TenantStoreError(ValueError):
@@ -84,7 +79,7 @@ class TenantJournal:
         journal.path.parent.mkdir(parents=True, exist_ok=True)
         if journal.path.exists():
             journal.path.unlink()
-        journal._append_line(canonical(journal.header))
+        journal._append_line(canonical_json(journal.header))
         return journal
 
     @classmethod
@@ -142,9 +137,9 @@ class TenantJournal:
 
     def append(self, entry: Dict[str, object]) -> None:
         """Durably append one committed entry (digest + flush + fsync)."""
-        body = canonical(entry)
+        body = canonical_json(entry)
         self._append_line(
-            canonical({"digest": digest_text(body), "entry": entry})
+            canonical_json({"digest": digest_text(body), "entry": entry})
         )
 
     def record_open(self, seq: int, snapshot: Dict[str, object]) -> None:
@@ -202,7 +197,7 @@ class TenantJournal:
                     wrapper = json.loads(line)
                     entry = wrapper["entry"]
                     digest = wrapper["digest"]
-                    if digest_text(canonical(entry)) != digest:
+                    if digest_text(canonical_json(entry)) != digest:
                         damaged = True
                     elif not isinstance(entry, dict) or "type" not in entry:
                         damaged = True
@@ -225,11 +220,11 @@ class TenantJournal:
         self.close()
         tmp = self.path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(canonical(self.header) + "\n")
+            handle.write(canonical_json(self.header) + "\n")
             for entry in entries:
-                body = canonical(entry)
+                body = canonical_json(entry)
                 handle.write(
-                    canonical({"digest": digest_text(body), "entry": entry})
+                    canonical_json({"digest": digest_text(body), "entry": entry})
                     + "\n"
                 )
             handle.flush()

@@ -5,7 +5,6 @@ from repro.sim import metrics
 from repro.sim.parallel import (
     SlimRunResult,
     default_jobs,
-    map_ordered,
     resolve_jobs,
     run_scenarios,
     slim_result,
@@ -40,7 +39,6 @@ __all__ = [
     "metrics",
     "SlimRunResult",
     "default_jobs",
-    "map_ordered",
     "resolve_jobs",
     "run_scenarios",
     "slim_result",

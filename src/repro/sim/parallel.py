@@ -18,9 +18,9 @@ processes.  This module is the one place that knows how:
 * **Ordered reduce** -- worker outputs are reassembled in submission
   order (scenario order, then scheme order), so results are
   byte-identical to a serial run regardless of completion order.
-* **Graceful serial fallback** -- ``jobs<=1``, a single task, or *any*
-  pool/pickling failure falls back to running the same pure functions
-  in-process; results are identical either way.
+* **One executor** -- every fan-out runs through the ambient
+  :class:`~repro.sim.resilient.Supervisor`; ``jobs<=1`` or a single
+  task runs in-process, with identical results.
 
 ``jobs`` semantics everywhere in the library: ``None`` means "consult
 ``REPRO_JOBS``, else stay serial" (back-compatible); the CLI layer
@@ -30,22 +30,18 @@ defaults to :func:`default_jobs` (``REPRO_JOBS`` else CPU count).
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.common.config import SoCConfig
 from repro.mem.channel import ChannelStats
-from repro.sim.resilient import _infrastructure_failure, current_supervisor
+from repro.sim.resilient import current_supervisor
 from repro.sim.runner import _run_schemes_over_traces, sim_duration
 from repro.sim.scenario import Scenario
 from repro.sim.soc import DeviceResult, ResultView, RunResult
 from repro.workloads.generator import Trace
-
-logger = logging.getLogger("repro.parallel")
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -125,46 +121,6 @@ def slim_result(result: AnyRunResult) -> "SlimRunResult":
         metrics=dict(result.metrics),
         engine=getattr(result, "engine", "scalar"),
     )
-
-
-# ----------------------------------------------------------------------
-# Ordered parallel map with serial fallback
-# ----------------------------------------------------------------------
-
-def map_ordered(
-    fn: Callable[[T], R], items: Sequence[T], jobs: Optional[int] = None
-) -> List[R]:
-    """``[fn(x) for x in items]`` fanned out over processes.
-
-    Results come back in input order no matter which worker finishes
-    first.  ``fn`` must be a module-level *pure* function over
-    picklable arguments returning picklable values.
-
-    Failure semantics: only pool-infrastructure failures (broken
-    workers, fork refusal, unpicklable payloads) fall back to rerunning
-    the map serially in-process -- with a one-line warning, never
-    silently.  An exception raised by ``fn`` itself is a task bug and
-    re-raises immediately; replaying a deterministic error serially
-    would re-execute every side effect and disguise the bug as a slow
-    pass.  For per-task timeouts, retries and checkpoint/resume use
-    :func:`repro.sim.resilient.supervised_map` instead.
-    """
-    items = list(items)
-    workers = min(resolve_jobs(jobs), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, len(items) // (workers * 4))
-            return list(pool.map(fn, items, chunksize=chunksize))
-    except Exception as exc:
-        if not _infrastructure_failure(exc):
-            raise  # deterministic task error: fail fast, no serial replay
-        logger.warning(
-            "parallel map failed with %s: %s; rerunning %d tasks serially",
-            type(exc).__name__, exc, len(items),
-        )
-        return [fn(item) for item in items]
 
 
 # ----------------------------------------------------------------------
@@ -254,16 +210,12 @@ def _execute_tasks(
     context: Callable[[], str],
     jobs: Optional[int],
 ) -> List[R]:
-    """Route a fan-out through the ambient supervisor (or legacy map).
+    """Route a fan-out through the ambient supervisor.
 
-    The supervised engine is the default; ``REPRO_EXEC=plain`` opts
-    back into the bare ``pool.map`` path (the CI overhead gate measures
-    the two back to back).  ``context`` is only built for a
-    checkpointing supervisor, the one consumer of task digests.
+    ``context`` is only built for a checkpointing supervisor, the one
+    consumer of task digests.
     """
     supervisor = current_supervisor()
-    if supervisor is None:
-        return map_ordered(fn, tasks, jobs=jobs)
     return supervisor.map(
         fn, tasks, keys=keys, kind=kind,
         context=context() if supervisor.checkpointing else "", jobs=jobs,
@@ -291,7 +243,8 @@ def run_scenarios(
     The reduce is ordered: the returned list follows ``scenarios`` and
     each result dict follows ``scheme_names``, so output is
     byte-identical to :func:`repro.sim.runner.run_many` -- the parity
-    suite in ``tests/test_parallel_parity.py`` asserts this.
+    suite in ``tests/integration/test_parallel_parity.py`` asserts this.
+    A one-scenario call is how ``run_scenario`` fans out its schemes.
     """
     config = config or SoCConfig()
     duration = duration_cycles if duration_cycles is not None else sim_duration()
@@ -337,39 +290,3 @@ def run_scenarios(
         # Reassemble in scheme_names order regardless of chunking.
         out.append((scenario, {name: merged[name] for name in scheme_names}))
     return out
-
-
-def run_schemes_parallel(
-    traces: Sequence[Trace],
-    footprint: int,
-    scheme_names: Sequence[str],
-    config: SoCConfig,
-    warmup: bool,
-    jobs: int,
-) -> Dict[str, AnyRunResult]:
-    """Single-scenario fan-out used by ``run_scenario(jobs=N)``."""
-    scheme_names = list(scheme_names)
-    chunks = _scheme_chunks(scheme_names, jobs)
-    tasks: List[_ChunkTask] = [
-        (tuple(traces), footprint, chunk, config, warmup) for chunk in chunks
-    ]
-    keys = [_task_key(0, "scenario", chunk) for chunk in chunks]
-
-    def context() -> str:
-        return "|".join(
-            [
-                "scenario",
-                ",".join(scheme_names),
-                f"traces={_traces_digest([traces])}",
-                f"footprint={footprint}",
-                f"warmup={warmup}",
-                f"config={config!r}",
-            ]
-        )
-
-    merged: Dict[str, AnyRunResult] = {}
-    for chunk_result in _execute_tasks(
-        _run_chunk, tasks, keys, "scenario", context, jobs
-    ):
-        merged.update(chunk_result)
-    return {name: merged[name] for name in scheme_names}

@@ -1,16 +1,17 @@
 """Supervised resilient execution: timeouts, retries, checkpoint/resume.
 
-The parallel fan-out of :mod:`repro.sim.parallel` treats worker
-processes as infallible: a bare ``pool.map`` has no per-task timeout,
-cannot tell a dead worker from a buggy task, and throws away every
-finished cell when the parent dies at cell 200/216 of a campaign.
-This module supplies the supervision discipline of real fleets:
+A bare ``pool.map`` treats worker processes as infallible: it has no
+per-task timeout, cannot tell a dead worker from a buggy task, and
+throws away every finished cell when the parent dies at cell 200/216
+of a campaign.  Every fan-out (:mod:`repro.sim.parallel`, the fault
+campaign) therefore runs through this module, the one executor, which
+supplies the supervision discipline of real fleets:
 
 * **Future-based dispatch with hang detection** -- every task is
-  submitted individually and watched against a wall-clock deadline;
-  a hung worker is killed (the whole pool is recycled, the victim's
-  innocent neighbours are requeued uncharged) instead of stalling the
-  run forever.
+  submitted individually, two per worker in flight, and watched
+  against a wall-clock deadline; a hung worker is killed (the whole
+  pool is recycled, the victim's innocent neighbours are requeued
+  uncharged) instead of stalling the run forever.
 * **Bounded retries with jittered exponential backoff** -- transient
   failures (``BrokenProcessPool``, timeouts, exceptions whose class
   sets ``transient = True``) are retried up to
@@ -57,6 +58,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 from typing import (
     Callable,
@@ -65,10 +67,10 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
     TypeVar,
 )
 
+from repro.common.canonical import digest_text
 from repro.obs import EventType
 
 logger = logging.getLogger("repro.resilient")
@@ -198,17 +200,6 @@ class SupervisionReport:
 # ----------------------------------------------------------------------
 # Content-addressed result store (the checkpoint)
 # ----------------------------------------------------------------------
-
-def digest_text(text: str) -> str:
-    """SHA-256 hex of UTF-8 text.
-
-    The one digest discipline the repo's durable formats share:
-    ``repro-result/v1`` blobs here and ``repro-tenant/v1`` entries in
-    :mod:`repro.service.store` bind payloads with this function so
-    damage detection is uniform.
-    """
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
 
 #: Root of the ``repro`` package whose sources :func:`code_fingerprint`
 #: hashes.
@@ -392,9 +383,7 @@ def _infrastructure_failure(exc: BaseException) -> bool:
     on what exactly refused to serialize, e.g. a function defined
     inside another -- as a ``TypeError`` or ``AttributeError`` whose
     message names pickling (a heuristic, but the cost of a miss is only
-    a serial rerun of pure functions).  The one classifier both
-    :func:`supervised_map` and :func:`repro.sim.parallel.map_ordered`
-    use.
+    a serial rerun of a pure function).
     """
     if isinstance(exc, (BrokenExecutor, OSError, pickle.PicklingError)):
         return True
@@ -441,16 +430,32 @@ def _terminate_pool(pool: Optional[ProcessPoolExecutor]) -> None:
         proc.join(timeout=5.0)
 
 
-def _wait_timeout(
-    policy: ResiliencePolicy, inflight: Dict[Future, Tuple[int, float]]
-) -> float:
-    if policy.timeout_seconds is None:
-        return _TICK_SECONDS
+def _start_clocks(
+    inflight: Dict[Future, int], clocks: Dict[Future, float], workers: int
+) -> None:
+    """Start the clock of each of the ``workers`` oldest tasks running."""
     now = time.monotonic()
-    nearest = min(
-        started + policy.timeout_seconds - now
-        for _, started in inflight.values()
+    for future in islice(inflight, workers):
+        if future not in clocks and future.running():
+            clocks[future] = now
+
+
+def _break_suspects(inflight: Dict[Future, int], workers: int) -> set:
+    """The ``workers`` oldest tasks unfinished when the pool broke."""
+    unfinished = (
+        future
+        for future in inflight
+        if not future.done() or isinstance(future.exception(), BrokenProcessPool)
     )
+    return set(islice(unfinished, workers))
+
+
+def _wait_timeout(
+    policy: ResiliencePolicy, clocks: Dict[Future, float]
+) -> float:
+    if policy.timeout_seconds is None or not clocks:
+        return _TICK_SECONDS
+    nearest = min(clocks.values()) + policy.timeout_seconds - time.monotonic()
     return max(0.01, min(_TICK_SECONDS, nearest))
 
 
@@ -481,10 +486,12 @@ def supervised_map(
     """``[fn(x) for x in items]`` under full supervision.
 
     Results come back in input order.  ``fn`` must be a module-level
-    pure function over picklable arguments; unlike
-    :func:`repro.sim.parallel.map_ordered` a deterministic task error
-    is retried once and then **raised** -- the whole map is never
-    silently replayed serially.
+    pure function over picklable arguments.  ``jobs <= 1`` or a single
+    item runs in-process; a task that cannot reach a worker (pickling
+    failure) or exhausts its transient retries runs serially in the
+    parent, with a warning.  A deterministic task error is retried once
+    and then **raised** -- it is never replayed serially, which would
+    re-execute side effects and disguise a bug as a slow pass.
 
     ``keys`` (stable, unique, one per item) name tasks in supervision
     events; ``commit(index, value)`` runs for every finished task
@@ -536,12 +543,29 @@ def _supervise(
     report: SupervisionReport,
     finish: Callable[[int, object], None],
 ) -> None:
-    """The parallel supervision loop (see module docstring)."""
+    """The parallel supervision loop (see module docstring).
+
+    Up to ``2 * workers`` tasks are in flight, so a finishing worker
+    finds its next task queued, also while the parent commits a result.
+    ``inflight`` keeps submission order, the order in which the pool
+    hands calls to workers, so every executing task is among the
+    ``workers`` oldest unfinished ones; ``running()`` alone cannot tell,
+    as CPython reports it for the up to ``workers + 1`` calls waiting in
+    its call queue.  So a task's timeout clock starts the first time it
+    reports ``running()`` among the ``workers`` oldest (tasks queued
+    behind a hang are never charged), and a broken pool charges only
+    those oldest unfinished tasks.  A clock starts early only by the
+    time a free worker takes to pick the call up (at pool start, its
+    spawn time), and late by at most one loop pass: at least every
+    ``_TICK_SECONDS`` (0.25 s), plus what that pass runs in the parent
+    (commits, a serial fallback).
+    """
     queue = deque(range(len(items)))
     ready_at: Dict[int, float] = {}
     transient: Dict[int, int] = {}
     errors: Dict[int, int] = {}
-    inflight: Dict[Future, Tuple[int, float]] = {}
+    inflight: Dict[Future, int] = {}  # -> task index, in submission order
+    clocks: Dict[Future, float] = {}  # -> when its timeout clock started
     pool: Optional[ProcessPoolExecutor] = None
     breaks_since_degrade = 0
 
@@ -608,15 +632,15 @@ def _supervise(
     def drain_inflight_uncharged() -> None:
         # A broken/killed pool poisons every in-flight future; the
         # innocents go back to the queue without a retry charge.
-        while inflight:
-            _future, (index, _started) = inflight.popitem()
-            queue.append(index)
+        queue.extend(inflight.values())
+        inflight.clear()
+        clocks.clear()
 
     try:
         while queue or inflight:
             now = time.monotonic()
             for _ in range(len(queue)):
-                if len(inflight) >= workers:
+                if len(inflight) >= 2 * workers:
                     break
                 index = queue.popleft()
                 if ready_at.get(index, 0.0) > now:
@@ -635,7 +659,7 @@ def _supervise(
                     drain_inflight_uncharged()
                     recycle_pool()
                     break
-                inflight[future] = (index, time.monotonic())
+                inflight[future] = index
 
             if not inflight:
                 # Everything queued is backing off; sleep until the
@@ -647,19 +671,27 @@ def _supervise(
                 time.sleep(max(0.005, min(wake - now, _TICK_SECONDS)))
                 continue
 
+            if policy.timeout_seconds is not None:
+                _start_clocks(inflight, clocks, workers)
             done, _ = wait(
                 set(inflight),
-                timeout=_wait_timeout(policy, inflight),
+                timeout=_wait_timeout(policy, clocks),
                 return_when=FIRST_COMPLETED,
             )
-            broken = False
+            broken = any(
+                isinstance(future.exception(), BrokenProcessPool) for future in done
+            )
+            suspects = _break_suspects(inflight, workers) if broken else set()
             for future in done:
-                index, _started = inflight.pop(future)
+                index = inflight.pop(future)
+                clocks.pop(future, None)
                 try:
                     value = future.result()
                 except BrokenProcessPool:
-                    broken = True
-                    transient_failure(index, "worker died")
+                    if future in suspects:
+                        transient_failure(index, "worker died")
+                    else:
+                        queue.append(index)  # still queued: uncharged
                 except Exception as exc:
                     if getattr(exc, "transient", False):
                         transient_failure(index, type(exc).__name__)
@@ -680,16 +712,16 @@ def _supervise(
                 recycle_pool()
                 continue
 
-            if policy.timeout_seconds is not None and inflight:
+            if policy.timeout_seconds is not None and clocks:
                 now = time.monotonic()
                 overdue = [
-                    (future, started_pair)
-                    for future, started_pair in inflight.items()
-                    if now - started_pair[1] > policy.timeout_seconds
+                    (future, started)
+                    for future, started in clocks.items()
+                    if now - started > policy.timeout_seconds
                 ]
                 if overdue:
-                    for future, (index, started) in overdue:
-                        del inflight[future]
+                    for future, started in overdue:
+                        index = inflight.pop(future)
                         report.timeouts += 1
                         _emit(obs, EventType.EXEC_TIMEOUT, key=keys[index],
                               seconds=round(now - started, 3))
@@ -716,8 +748,8 @@ def default_runs_dir() -> Path:
 class Supervisor:
     """One run's supervision state: policy, checkpoint root, chaos, obs.
 
-    The scenario/scheme and campaign fan-outs call :meth:`map` instead
-    of a bare pool map.  With a ``run_id`` every call is checkpointed
+    The scenario/scheme and campaign fan-outs all run through
+    :meth:`map`.  With a ``run_id`` every call is checkpointed
     in the content-addressed :class:`ResultStore` shared by all runs
     under ``runs_dir``: valid blobs are reused, every finished task is
     committed, and anything absent or invalid re-executes.  Reusing a
@@ -849,17 +881,10 @@ def supervision(supervisor: Optional[Supervisor]) -> Iterator[Optional[Superviso
         _ACTIVE.pop()
 
 
-def current_supervisor() -> Optional[Supervisor]:
+def current_supervisor() -> Supervisor:
     """The supervisor the fan-outs should use right now.
 
-    An explicitly activated supervisor wins; otherwise the default
-    execution mode applies: supervised (a fresh stateless
-    :class:`Supervisor`) unless ``REPRO_EXEC=plain`` opts back into
-    the legacy bare ``pool.map`` path (the performance-overhead gate
-    in CI measures exactly this pair).
+    The innermost activated supervisor, else a fresh stateless
+    :class:`Supervisor`: supervision on, checkpointing off.
     """
-    if _ACTIVE:
-        return _ACTIVE[-1]
-    if os.environ.get("REPRO_EXEC", "").strip().lower() == "plain":
-        return None
-    return Supervisor()
+    return _ACTIVE[-1] if _ACTIVE else Supervisor()

@@ -160,22 +160,24 @@ def run_scenario(
     """
     config = config or SoCConfig()
     duration = duration_cycles if duration_cycles is not None else sim_duration()
-    traces, footprint = scenario.build_traces(duration, seed)
 
     from repro.sim import parallel, resilient  # runner is imported by parallel
 
-    supervisor = resilient.current_supervisor()
-    checkpointing = supervisor is not None and supervisor.checkpointing
     workers = parallel.resolve_jobs(jobs)
     # A checkpointing supervisor routes even serial runs through the
     # fan-out, so checkpoints exist at the same task granularity
     # whatever the worker count.
-    if (workers > 1 or checkpointing) and obs_factory is None and len(
-        scheme_names
-    ) > 1:
-        return parallel.run_schemes_parallel(
-            traces, footprint, scheme_names, config, warmup, workers
+    if (
+        (workers > 1 or resilient.current_supervisor().checkpointing)
+        and obs_factory is None
+        and len(scheme_names) > 1
+    ):
+        [(_, runs)] = parallel.run_scenarios(
+            [scenario], scheme_names, config, duration, seed, warmup,
+            jobs=workers,
         )
+        return runs
+    traces, footprint = scenario.build_traces(duration, seed)
     return _run_schemes_over_traces(
         traces, footprint, scheme_names, config, warmup, obs_factory
     )
@@ -201,9 +203,8 @@ def run_many(
     """
     from repro.sim import parallel, resilient  # runner is imported by parallel
 
-    supervisor = resilient.current_supervisor()
     workers = parallel.resolve_jobs(jobs)
-    if workers > 1 or (supervisor is not None and supervisor.checkpointing):
+    if workers > 1 or resilient.current_supervisor().checkpointing:
         return parallel.run_scenarios(
             scenarios, scheme_names, config, duration_cycles, seed, warmup,
             jobs=workers,

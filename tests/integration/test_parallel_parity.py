@@ -19,7 +19,6 @@ from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.sim.parallel import (
     SlimRunResult,
     default_jobs,
-    map_ordered,
     resolve_jobs,
     run_scenarios,
     slim_result,
@@ -159,15 +158,6 @@ class TestCampaignParity:
 
 
 class TestPlumbing:
-    def test_map_ordered_preserves_order(self):
-        assert map_ordered(abs, [-3, 1, -2], jobs=2) == [3, 1, 2]
-
-    def test_map_ordered_falls_back_on_unpicklable(self):
-        # A lambda cannot be pickled; the pool attempt fails and the
-        # serial fallback must still produce the right answer.
-        fn = lambda x: x * 2  # noqa: E731
-        assert map_ordered(fn, [1, 2, 3], jobs=2) == [2, 4, 6]
-
     def test_resolve_jobs_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert resolve_jobs(None) == 1

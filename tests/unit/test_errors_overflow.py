@@ -150,6 +150,27 @@ class TestEngineOverflowRecovery:
         assert mem.read(0, 192) == b"\x33" * 192
         assert mem.is_quarantined(192) and not mem.is_quarantined(128)
 
+    def test_fixed_heal_write_at_the_counter_limit_succeeds(self, keys):
+        mem = SecureMemory(
+            1 << 20, keys=keys, policy="fixed", counter_bits=3,
+            failure_policy="quarantine",
+        )
+        for _ in range(7):  # line 0's counter reaches the 3-bit limit
+            mem.write(0, b"\x22" * CACHELINE_BYTES)
+        mem.write(CACHELINE_BYTES, b"\x44" * CACHELINE_BYTES)
+        mem.tamper_data(0)
+        with pytest.raises(QuarantineError):
+            mem.read(0, CACHELINE_BYTES)
+        # The line quarantine kept the tampered line's MAC: the heal's
+        # re-keying must not carry (and so re-verify) the tampered line.
+        mem.write(0, b"\x33" * CACHELINE_BYTES)
+        mem.tree.drop_trust_cache()
+        assert mem.read(0, 2 * CACHELINE_BYTES) == (
+            b"\x33" * CACHELINE_BYTES + b"\x44" * CACHELINE_BYTES
+        )
+        assert not mem.is_quarantined(0)
+        assert mem.key_epoch(0) == 1
+
     def test_heal_at_the_limit_rekeys_the_chunk_once(self, keys):
         mem = SecureMemory(
             1 << 20, keys=keys, failure_policy="quarantine", counter_bits=6

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
-from repro.faults.exec_chaos import corrupt_blob, valid_blobs
+from repro.faults.exec_chaos import ChaosSpec, corrupt_blob, valid_blobs
 from repro.sim import resilient
 from repro.sim.resilient import (
     ExecutionAborted,
@@ -26,6 +32,22 @@ def double(x):
 
 def boom(x):
     raise ValueError(f"bad item {x}")
+
+
+_PID_DIR_ENV = "SUPERVISED_MAP_TEST_DIR"
+
+
+def record_pid_and_fail(x):
+    """Touch a per-pid marker, then raise: proves where execution ran."""
+    marker_dir = os.environ[_PID_DIR_ENV]
+    with open(os.path.join(marker_dir, str(os.getpid())), "a") as fh:
+        fh.write(f"{x}\n")
+    raise RuntimeError(f"deterministic task bug on {x}")
+
+
+def nap(x):
+    time.sleep(0.7)
+    return x
 
 
 class TestResiliencePolicy:
@@ -115,24 +137,75 @@ class TestSupervisedMapParallel:
             for record in caplog.records
         )
 
+    def test_clean_parallel_map_keeps_order(self):
+        report = SupervisionReport()
+        out = supervised_map(double, [3, 1, 2], jobs=2, report=report)
+        assert out == [6, 2, 4]
+        assert report.retries == 0 and report.serial_fallbacks == 0
+
+    def test_task_error_never_runs_in_parent(self, tmp_path, monkeypatch):
+        """A deterministic task error is raised, never replayed serially
+        in the parent (which would re-run every side effect there)."""
+        monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
+        with pytest.raises(RuntimeError, match="deterministic task bug"):
+            supervised_map(record_pid_and_fail, [1, 2, 3, 4], jobs=4)
+        executed_pids = {int(name) for name in os.listdir(tmp_path)}
+        assert executed_pids, "task never ran anywhere"
+        assert os.getpid() not in executed_pids
+
+    def test_infrastructure_classifier(self):
+        infra = resilient._infrastructure_failure
+        assert infra(BrokenProcessPool("dead"))
+        assert infra(OSError("fork refused"))
+        assert infra(pickle.PicklingError("no"))
+        assert infra(TypeError("cannot pickle '_thread.lock'"))
+        assert infra(
+            AttributeError("Can't pickle local object 'f.<locals>.<lambda>'")
+        )
+        assert not infra(TypeError("bad operand"))
+        assert not infra(AttributeError("no such attr"))
+        assert not infra(RuntimeError("task bug"))
+        assert not infra(ValueError("task bug"))
+
+    def test_pool_break_charges_only_tasks_a_worker_could_run(self):
+        finished, crashed, running, queued = (Future() for _ in range(4))
+        finished.set_result(1)  # its worker moved on before the break
+        crashed.set_exception(BrokenProcessPool("worker died"))
+        queued.set_exception(BrokenProcessPool("worker died"))
+        inflight = {finished: 0, crashed: 1, running: 2, queued: 3}
+        suspects = resilient._break_suspects(inflight, workers=2)
+        assert suspects == {crashed, running}
+
+    def test_queued_behind_a_hang_never_charged(self):
+        # Two workers, a 1 s timeout and 0.7 s naps; nap-3 hangs.  nap-2
+        # waits a whole nap for a worker, so a clock started at submit
+        # (or at running(), which CPython reports for queued calls)
+        # would time it out before the hang's own deadline.
+        keys = [f"nap-{i}" for i in range(6)]
+        report = SupervisionReport()
+        out = supervised_map(
+            nap, list(range(6)), jobs=2, keys=keys,
+            policy=ResiliencePolicy(timeout_seconds=1.0),
+            chaos=ChaosSpec(hang_keys=("nap-3",), hang_seconds=30.0),
+            report=report,
+        )
+        assert out == list(range(6))
+        assert report.timeouts == 1
+        assert report.retries == 1  # the hang's own; nobody else charged
+
 
 class TestAmbientSupervision:
-    def test_default_is_supervised(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXEC", raising=False)
+    def test_default_is_supervised(self):
         supervisor = current_supervisor()
         assert isinstance(supervisor, Supervisor)
         assert not supervisor.checkpointing
 
-    def test_plain_env_opts_out(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC", "plain")
-        assert current_supervisor() is None
-
-    def test_explicit_supervisor_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC", "plain")
-        mine = Supervisor()
+    def test_explicit_supervisor_wins(self):
+        mine = Supervisor(run_id="mine")
         with supervision(mine):
             assert current_supervisor() is mine
-        assert current_supervisor() is None
+        default = current_supervisor()
+        assert default is not mine and not default.checkpointing
 
     def test_none_context_is_noop(self):
         with supervision(None) as active:

@@ -11,12 +11,12 @@ import json
 
 import pytest
 
+from repro.common.canonical import canonical_json
 from repro.service.store import (
     TENANT_SCHEMA,
     TenantJournal,
     TenantStore,
     TenantStoreError,
-    canonical,
 )
 
 PARAMS = {
@@ -99,7 +99,7 @@ def test_header_damage_discards_the_file(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[0])
     header["schema"] = "repro-tenant/v999"
-    lines[0] = canonical(header)
+    lines[0] = canonical_json(header)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert store.load("tenant-a") is None
     assert not path.exists()  # untrusted identity: fall back to fresh
