@@ -42,6 +42,7 @@ from repro.common.constants import (
     CHUNK_BYTES,
     GRANULARITIES,
     LINES_PER_CHUNK,
+    LINES_PER_PARTITION,
     PARTITIONS_PER_CHUNK,
 )
 from repro.core import addressing, detector, stream_part
@@ -133,6 +134,35 @@ def _interesting_bitmaps(rng: random.Random, count: int) -> List[int]:
     return bitmaps
 
 
+_WINDOW_KINDS = ("empty", "full", "partial")
+
+
+def structured_vectors(rng: random.Random, count: int) -> List[int]:
+    """512-bit access vectors built window by window: empty, full or partial.
+
+    A uniform ``getrandbits(512)`` vector leaves an 8-line window empty,
+    or full, with probability 1/256 each, so it barely reaches Alg. 1's
+    keep and promote branches.  Here each vector draws its own mix of
+    the three window kinds, from all-empty to all-full.
+    """
+    full = (1 << LINES_PER_PARTITION) - 1
+    vectors = [0, (1 << LINES_PER_CHUNK) - 1]
+    while len(vectors) < count:
+        weights = [rng.random() for _ in _WINDOW_KINDS]
+        kinds = rng.choices(_WINDOW_KINDS, weights, k=PARTITIONS_PER_CHUNK)
+        vector = 0
+        for part, kind in enumerate(kinds):
+            if kind == "full":
+                window = full
+            elif kind == "partial":
+                window = rng.randrange(1, full)
+            else:
+                continue
+            vector |= window << (part * LINES_PER_PARTITION)
+        vectors.append(vector)
+    return vectors
+
+
 def _check_functions(samples: int, seed: int) -> dict:
     rng = random.Random(seed)
     checked = 0
@@ -183,8 +213,7 @@ def _check_functions(samples: int, seed: int) -> dict:
             ref.ref_macs_per_chunk(bits),
         )
 
-    for _ in range(samples):
-        vector = rng.getrandbits(LINES_PER_CHUNK)
+    def check_detection(vector: int) -> None:
         expect(
             f"detect_stream_partitions(0x{vector:x})",
             detector.detect_stream_partitions(vector),
@@ -197,6 +226,11 @@ def _check_functions(samples: int, seed: int) -> dict:
                 detector.merge_detection(previous, vector, censored),
                 ref.ref_merge_detection(previous, vector, censored),
             )
+
+    for _ in range(samples):
+        check_detection(rng.getrandbits(LINES_PER_CHUNK))
+    for vector in structured_vectors(rng, samples):
+        check_detection(vector)
 
     for chunks in (1, 8, 32, 64):
         region = chunks * CHUNK_BYTES

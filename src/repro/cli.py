@@ -937,8 +937,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bch.add_argument("--sweep-duration", type=float, default=None)
     p_bch.add_argument(
         "--sweep-repeat", type=int, default=1,
-        help="sweep timing repetitions (min-of-N; the supervision "
-        "overhead gate uses 5 to beat runner noise)",
+        help="sweep timing repetitions (min-of-N; CI's fast-engine "
+        "speedup gate uses 3 to beat runner noise)",
     )
     add_engine_flag(p_bch, both=True)
     add_jobs_flag(p_bch)

@@ -39,6 +39,13 @@ LINES_PER_PARTITION = PARTITION_BYTES // CACHELINE_BYTES  # 8
 #: Bits used for the in-chunk cacheline offset of a 64-bit address.
 CHUNK_OFFSET_BITS = 15  # log2(32KB)
 
+#: Mask of the in-chunk offset, and log2 of the line and partition sizes:
+#: the shift-and-mask forms of :mod:`repro.common.address`'s helpers that
+#: the per-access paths (tracker, granularity table, MAC index) inline.
+CHUNK_OFFSET_MASK = CHUNK_BYTES - 1
+CACHELINE_SHIFT = 6  # log2(64B)
+PARTITION_SHIFT = 9  # log2(512B)
+
 #: Bits of a 64-bit address that form the chunk index (paper Sec. 4.4).
 CHUNK_INDEX_BITS = 64 - CHUNK_OFFSET_BITS  # 49
 

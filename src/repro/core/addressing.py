@@ -15,13 +15,16 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.common.address import line_in_partition, partition_in_chunk
 from repro.common.constants import (
     CACHELINE_BYTES,
+    CACHELINE_SHIFT,
     CHUNK_BYTES,
+    CHUNK_OFFSET_MASK,
     GRANULARITIES,
     LINES_PER_CHUNK,
+    LINES_PER_PARTITION,
     MAC_BYTES,
+    PARTITION_SHIFT,
     PARTITIONS_PER_CHUNK,
     TREE_ARITY,
     granularity_level,
@@ -194,11 +197,11 @@ def mac_index_in_chunk(
         return 0
 
     part_index, part_merged, _ = _chunk_mac_layout(bits, max_granularity)
-    my_partition = partition_in_chunk(addr)
+    my_partition = (addr & CHUNK_OFFSET_MASK) >> PARTITION_SHIFT
     index = part_index[my_partition]
     if part_merged[my_partition]:
         return index
-    return index + line_in_partition(addr)
+    return index + ((addr >> CACHELINE_SHIFT) & (LINES_PER_PARTITION - 1))
 
 
 def _macs_of_group(bits: int, group: int, max_granularity: int) -> int:

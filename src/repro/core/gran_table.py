@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.common.address import chunk_base, chunk_index
-from repro.common.constants import CACHELINE_BYTES, CHUNK_BYTES, GRANULARITIES
+from repro.common.constants import (
+    CACHELINE_BYTES,
+    CHUNK_BYTES,
+    CHUNK_OFFSET_BITS,
+    GRANULARITIES,
+)
 from repro.core import stream_part
 
 #: Bytes per granularity-table entry: 8B current + 8B next.
@@ -88,10 +93,19 @@ class GranularityTable:
 
     def entry(self, addr: int) -> TableEntry:
         """Entry of the chunk containing ``addr`` (created on demand)."""
-        return self._entries.setdefault(chunk_index(addr), TableEntry())
+        # Runs on every access: a hit builds no throw-away default
+        # (``setdefault`` would) and calls no address helper.
+        chunk = addr >> CHUNK_OFFSET_BITS
+        entry = self._entries.get(chunk)
+        if entry is None:
+            entry = self._entries[chunk] = TableEntry()
+        return entry
 
     def entry_by_chunk(self, chunk: int) -> TableEntry:
-        return self._entries.setdefault(chunk, TableEntry())
+        entry = self._entries.get(chunk)
+        if entry is None:
+            entry = self._entries[chunk] = TableEntry()
+        return entry
 
     def entry_addr(self, addr: int) -> int:
         """Simulated physical address of the chunk's table entry."""
@@ -131,9 +145,12 @@ class GranularityTable:
         old_gran = stream_part.resolve_granularity(
             entry.current, addr, self.max_granularity
         )
-        new_gran = stream_part.resolve_granularity(
-            entry.next, addr, self.max_granularity
-        )
+        if entry.next == entry.current:
+            new_gran = old_gran  # no pending switch anywhere in the chunk
+        else:
+            new_gran = stream_part.resolve_granularity(
+                entry.next, addr, self.max_granularity
+            )
 
         event: Optional[SwitchEvent] = None
         if new_gran != old_gran:

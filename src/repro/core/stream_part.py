@@ -20,8 +20,10 @@ from typing import List
 
 from repro.common.address import partition_in_chunk
 from repro.common.constants import (
+    CHUNK_OFFSET_MASK,
     GRANULARITIES,
     LINES_PER_PARTITION,
+    PARTITION_SHIFT,
     PARTITIONS_PER_CHUNK,
 )
 
@@ -31,16 +33,16 @@ FULL_MASK = (1 << PARTITIONS_PER_CHUNK) - 1
 #: Partitions per 4KB block (8 when partitions are 512B).
 _PARTS_PER_4KB = GRANULARITIES[2] // GRANULARITIES[1]
 
+_G64, _G512, _G4K, _G32K = GRANULARITIES
+#: ``stream_part`` bits of one 4KB group, and the mask aligning a
+#: partition index down to its group's first partition.
+_GROUP_BITS = (1 << _PARTS_PER_4KB) - 1
+_GROUP_ALIGN = ~(_PARTS_PER_4KB - 1)
+
 
 def partition_bit(addr: int) -> int:
     """Bit mask of the partition containing ``addr`` within its chunk."""
     return 1 << partition_in_chunk(addr)
-
-
-def group_mask(addr: int) -> int:
-    """Bit mask of the aligned 4KB group of partitions containing ``addr``."""
-    group = partition_in_chunk(addr) // _PARTS_PER_4KB
-    return ((1 << _PARTS_PER_4KB) - 1) << (group * _PARTS_PER_4KB)
 
 
 def resolve_granularity(
@@ -53,14 +55,17 @@ def resolve_granularity(
     ``max_granularity`` caps the result -- dual-granularity baselines
     (e.g. 64B/4KB MACs of [56]) run the same machinery with a cap.
     """
-    if bits == FULL_MASK and max_granularity >= GRANULARITIES[3]:
-        return GRANULARITIES[3]
-    group = group_mask(addr)
-    if bits & group == group and max_granularity >= GRANULARITIES[2]:
-        return GRANULARITIES[2]
-    if bits & partition_bit(addr) and max_granularity >= GRANULARITIES[1]:
-        return GRANULARITIES[1]
-    return GRANULARITIES[0]
+    if not bits:
+        return _G64  # nothing streamed in the chunk
+    if bits == FULL_MASK and max_granularity >= _G32K:
+        return _G32K
+    part = (addr & CHUNK_OFFSET_MASK) >> PARTITION_SHIFT
+    group = _GROUP_BITS << (part & _GROUP_ALIGN)
+    if bits & group == group and max_granularity >= _G4K:
+        return _G4K
+    if bits >> part & 1 and max_granularity >= _G512:
+        return _G512
+    return _G64
 
 
 def quantize_bits(bits: int, min_coarse: int) -> int:

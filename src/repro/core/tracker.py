@@ -14,11 +14,15 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
-from repro.common.address import cacheline_in_chunk, chunk_index
 from repro.common.config import TrackerConfig
-from repro.common.constants import LINES_PER_CHUNK
+from repro.common.constants import (
+    CACHELINE_SHIFT,
+    CHUNK_OFFSET_BITS,
+    CHUNK_OFFSET_MASK,
+    LINES_PER_CHUNK,
+)
 
 
 @dataclass
@@ -30,10 +34,6 @@ class TrackerEntry:
     set_count: int
     birth_cycle: int
     last_cycle: int
-
-    @property
-    def full(self) -> bool:
-        return self.set_count >= LINES_PER_CHUNK
 
     def expired(self, now: int, lifetime: int) -> bool:
         return now - self.birth_cycle > lifetime
@@ -73,46 +73,48 @@ class AccessTracker:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def observe(self, addr: int, cycle: int) -> List[Eviction]:
-        """Record an access; return entries evicted by this access."""
-        evicted: List[Eviction] = []
-        if cycle > self._next_expiry:
-            evicted.extend(self._sweep_expired(cycle))
+    def observe(self, addr: int, cycle: int) -> Sequence[Eviction]:
+        """Record an access; return entries evicted by this access.
 
-        chunk = chunk_index(addr)
-        entry = self._entries.get(chunk)
+        Runs on every access, so an access that evicts nothing (most
+        of them) allocates no result list and returns ``()``.
+        """
+        evicted: Optional[List[Eviction]] = None
+        if cycle > self._next_expiry:
+            evicted = self._sweep_expired(cycle)
+
+        entries = self._entries
+        chunk = addr >> CHUNK_OFFSET_BITS
+        entry = entries.get(chunk)
         if entry is None:
-            if len(self._entries) >= self.config.entries:
-                victim_chunk, victim = self._entries.popitem(last=False)
-                del victim_chunk
+            if len(entries) >= self.config.entries:
+                _, victim = entries.popitem(last=False)
                 self.evictions_capacity += 1
+                if evicted is None:
+                    evicted = []
                 evicted.append(Eviction(victim, "capacity"))
-            entry = TrackerEntry(
-                chunk_index=chunk,
-                access_bits=0,
-                set_count=0,
-                birth_cycle=cycle,
-                last_cycle=cycle,
-            )
-            self._entries[chunk] = entry
+            entry = TrackerEntry(chunk, 0, 0, cycle, cycle)
+            entries[chunk] = entry
             deadline = cycle + self.config.lifetime_cycles
             if deadline < self._next_expiry:
                 self._next_expiry = deadline
         else:
             # Refresh LRU position.
-            self._entries.move_to_end(chunk)
+            entries.move_to_end(chunk)
 
-        bit = 1 << cacheline_in_chunk(addr)
+        entry.last_cycle = cycle
+        bit = 1 << ((addr & CHUNK_OFFSET_MASK) >> CACHELINE_SHIFT)
         if not entry.access_bits & bit:
             entry.access_bits |= bit
             entry.set_count += 1
-        entry.last_cycle = cycle
-
-        if entry.full:
-            self._entries.pop(chunk)
-            self.evictions_full += 1
-            evicted.append(Eviction(entry, "full"))
-        return evicted
+            # Only a newly set bit can fill the entry.
+            if entry.set_count >= LINES_PER_CHUNK:
+                del entries[chunk]
+                self.evictions_full += 1
+                if evicted is None:
+                    evicted = []
+                evicted.append(Eviction(entry, "full"))
+        return evicted or ()
 
     def drain(self) -> List[Eviction]:
         """Evict all remaining entries (end of trace)."""

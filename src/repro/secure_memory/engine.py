@@ -59,7 +59,13 @@ thing in the overflow and integrity handlers, and when the call returns
 or raises.  A scale-up switch that a write triggers starts the run
 itself, from the plaintexts it has just verified against the span's
 current off-chip bytes, instead of sealing the new region for the
-triggering line to open it again.  Nothing deferred outlives the call:
+triggering line to open it again.  Under ``multigranular`` the call
+also remembers the ciphertext and plaintext of each line it sealed at
+64B in its current chunk; a switch's first pass still reads such a line
+back from off-chip, takes the call's plaintext when the bytes equal the
+call's ciphertext, and verifies any other bytes as before.  The memory
+is dropped when the call moves to another chunk, at every switch and
+handler, and when the call ends.  Nothing deferred outlives the call:
 a write's first touch of a region always verifies it, a tamper staged
 between two writes is caught by the second, and the state after each
 call is the one resealing every line leaves.
@@ -176,6 +182,10 @@ class SecureMemory:
         self._quarantine_masks: Dict[int, int] = {}
         # The coarse region a ``write`` call has opened and not sealed.
         self._run: Optional[_OpenRun] = None
+        # Line -> (ciphertext, plaintext) of the lines the running
+        # ``write`` call sealed at 64B in its current chunk (module
+        # docstring); only the multigranular policy fills it.
+        self._sealed_lines: Dict[int, Tuple[bytes, bytes]] = {}
         self.cycle = 0
         self.reads = 0
         self.writes = 0
@@ -193,15 +203,19 @@ class SecureMemory:
         """
         self._check_aligned_access(addr, len(data))
         tree = self.tree
+        sealed_lines = self._sealed_lines
         tree.defer_seals = True
         try:
             for line_index in iter_lines(addr, len(data)):
                 line_addr = line_index * CACHELINE_BYTES
+                if sealed_lines and not line_addr % CHUNK_BYTES:
+                    sealed_lines.clear()  # a switch never spans chunks
                 offset = line_addr - addr
                 payload = data[offset : offset + CACHELINE_BYTES]
                 self._write_line(line_addr, payload)
                 self.writes += 1
         finally:
+            sealed_lines.clear()
             tree.defer_seals = False
             self._close_run()
             tree.seal()
@@ -349,6 +363,7 @@ class SecureMemory:
             self._write_line_at(line_addr, payload, granularity)
         except CounterOverflowError:
             self._close_run()
+            self._sealed_lines.clear()
             level = granularity_level(granularity)
             region_base = align_down(line_addr, granularity)
             if self.tree.read_counter(region_base, level) < self.tree.counter_limit:
@@ -375,6 +390,7 @@ class SecureMemory:
             self._write_line_at(line_addr, payload, granularity)
         except (IntegrityError, ReplayError) as exc:
             self._close_run()
+            self._sealed_lines.clear()
             self._handle_write_failure(line_addr, payload, granularity, exc)
 
     def _write_line_at(
@@ -383,7 +399,11 @@ class SecureMemory:
         if granularity == GRANULARITIES[0]:
             self._close_run()
             counter = self.tree.increment_counter(line_addr, level=0)
-            self._seal_line(line_addr, counter, payload, self._current_bits(line_addr))
+            ciphertext = self._seal_line(
+                line_addr, counter, payload, self._current_bits(line_addr)
+            )
+            if self.policy == "multigranular":
+                self._sealed_lines[line_addr] = (ciphertext, payload)
             return
         self._write_line_coarse(line_addr, payload, granularity)
 
@@ -749,11 +769,12 @@ class SecureMemory:
             self.table.record_detection(chunk, bits)
         self.cycle += 1
 
-        quarantine_mask = self._quarantine_masks.get(chunk_index(line_addr))
-        if quarantine_mask:
-            # Quarantined partitions must stay fine: a promotion would
-            # have to open their unverifiable data mid-switch.
-            self.table.restrict_next(line_addr, quarantine_mask)
+        if self._quarantine_masks:
+            quarantine_mask = self._quarantine_masks.get(chunk_index(line_addr))
+            if quarantine_mask:
+                # Quarantined partitions must stay fine: a promotion would
+                # have to open their unverifiable data mid-switch.
+                self.table.restrict_next(line_addr, quarantine_mask)
 
         granularity, event = self.table.resolve(line_addr, is_write)
         self.switching.record_resolution(switched=event is not None)
@@ -806,6 +827,10 @@ class SecureMemory:
                     self._record_recovery("switch-failure", event.addr, exc)
                     return
             self._handle_switch_failure(event, exc)
+        finally:
+            # Counters, MACs or the key epoch of those lines may have
+            # moved: a later switch in this call verifies them off-chip.
+            self._sealed_lines.clear()
 
     def _handle_switch_failure(self, event: SwitchEvent, exc: Exception) -> None:
         span = max(event.old_granularity, event.new_granularity)
@@ -888,14 +913,22 @@ class SecureMemory:
         hand_off = event.is_write and event.scale_up
         old_layout = list(self._iter_subregions(span_base, span, event.old_bits))
 
-        # Pass 1: open every sub-region under its old seal.
+        # Pass 1: open every sub-region under its old seal.  A 64B line
+        # this write call sealed is read back and taken from the call
+        # when its off-chip bytes are the ones the call wrote.
         plaintexts: List[bytes] = []
         max_counter = 0
+        sealed_lines = self._sealed_lines
         for sub, sub_g in old_layout:
             counter = self.tree.read_counter(sub, level=granularity_level(sub_g))
-            plaintexts.extend(
-                self._open_region(sub, sub_g, counter, event.old_bits)
-            )
+            if sub_g == GRANULARITIES[0] and sub in sealed_lines:
+                plaintexts.append(
+                    self._reopen_sealed_line(sub, counter, event.old_bits)
+                )
+            else:
+                plaintexts.extend(
+                    self._open_region(sub, sub_g, counter, event.old_bits)
+                )
             max_counter = max(max_counter, counter)
 
         # Stale fine/merged MACs of the old layout are garbage once the
@@ -1014,7 +1047,10 @@ class SecureMemory:
     # Seal / open helpers (the only code that touches MACs + ciphertext)
     # ------------------------------------------------------------------
 
-    def _seal_line(self, line_addr: int, counter: int, payload: bytes, bits: int) -> None:
+    def _seal_line(
+        self, line_addr: int, counter: int, payload: bytes, bits: int
+    ) -> bytes:
+        """Encrypt and MAC one fine-grained line; return its ciphertext."""
         keys = self._keys_for(line_addr)
         ciphertext = encrypt_line(keys.encryption_key, line_addr, counter, payload)
         self.dram.write_line(line_addr, ciphertext)
@@ -1022,11 +1058,23 @@ class SecureMemory:
         self._macs[mac_addr] = compute_mac(
             keys.mac_key, line_addr, counter, ciphertext
         )
+        return ciphertext
 
-    def _open_line(self, line_addr: int, counter: int, bits: int) -> bytes:
-        """Verify and decrypt one fine-grained line."""
+    def _open_line(
+        self,
+        line_addr: int,
+        counter: int,
+        bits: int,
+        ciphertext: Optional[bytes] = None,
+    ) -> bytes:
+        """Verify and decrypt one fine-grained line.
+
+        ``ciphertext`` is the line's off-chip bytes when the caller has
+        already read them; otherwise they are read here.
+        """
         keys = self._keys_for(line_addr)
-        ciphertext = self.dram.read_line(line_addr)
+        if ciphertext is None:
+            ciphertext = self.dram.read_line(line_addr)
         stored = self._macs.get(addressing.mac_addr(self.geometry, bits, line_addr))
         if stored is None:
             if ciphertext == _ZERO_LINE and counter == 0:
@@ -1036,6 +1084,20 @@ class SecureMemory:
         if not macs_equal(stored, expected):
             self._raise_classified(line_addr, counter, ciphertext, stored)
         return decrypt_line(keys.encryption_key, line_addr, counter, ciphertext)
+
+    def _reopen_sealed_line(self, line_addr: int, counter: int, bits: int) -> bytes:
+        """Open a line the running ``write`` call sealed at 64B.
+
+        The line is read back from off-chip like any other (so a staged
+        transient glitch is consumed exactly as :meth:`_open_line` would
+        consume it).  Bytes equal to the ciphertext the call wrote are
+        taken with the call's plaintext; any other bytes are verified.
+        """
+        ciphertext = self.dram.read_line(line_addr)
+        sealed_ciphertext, plaintext = self._sealed_lines[line_addr]
+        if ciphertext == sealed_ciphertext:
+            return plaintext
+        return self._open_line(line_addr, counter, bits, ciphertext)
 
     def _seal_region(
         self,

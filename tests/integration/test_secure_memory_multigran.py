@@ -41,8 +41,13 @@ def count_calls(monkeypatch, names):
 
 
 def nothing_deferred(memory):
-    """No tree node waits for its seal and no coarse region is open."""
-    return memory._run is None and not memory.tree._unsealed
+    """No tree node waits for its seal, no coarse region is open and no
+    line sealed by the call is remembered."""
+    return (
+        memory._run is None
+        and not memory.tree._unsealed
+        and not memory._sealed_lines
+    )
 
 
 class TestPromotion:
@@ -204,10 +209,12 @@ class TestWritePath:
     def test_fresh_chunk_put_seals_the_promoted_region_once(self, memory, calls):
         memory.write(0, CHUNK_DATA)
         assert memory.granularity_of(0) == CHUNK_BYTES
-        # 511 fine lines are sealed, then opened by the scale-up at the
-        # 512th; the promoted region is sealed once, when the write's
-        # run ends, not by the switch and again by the run.
-        assert calls["generate_otp"] == calls["compute_mac"] == 1534
+        # 511 fine lines are sealed; the scale-up at the 512th reads them
+        # back and, finding the bytes the call wrote, takes the call's
+        # plaintexts instead of verifying and decrypting them again.  The
+        # promoted region is sealed once, when the write's run ends, not
+        # by the switch and again by the run.
+        assert calls["generate_otp"] == calls["compute_mac"] == 1023
         assert calls["nested_mac"] == 1
         assert memory.counter_value(0) == 3
         assert nothing_deferred(memory)

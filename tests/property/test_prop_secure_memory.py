@@ -256,6 +256,13 @@ class TestSplitWriteEquivalence:
         "multigranular", "raise", 6,
         [("write", 0, 1, 1)] * 61 + [("stream", 0, 2)],
     )
+    # A glitch staged on a line the stream then seals at 64B: the scale-up
+    # reads the line back, so it must meet the glitch, as it does when
+    # every line is its own call.
+    @example(
+        "multigranular", "raise", 64,
+        [("write", 0, 8, 1), ("glitch", 3), ("stream", 0, 2)],
+    )
     def test_one_write_matches_line_by_line_writes(
         self, policy, failure_policy, counter_bits, history
     ):

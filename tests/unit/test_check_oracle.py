@@ -9,13 +9,16 @@ tier-1 suite.
 """
 
 import random
+from collections import Counter
 
 from repro.check import oracle as ref
+from repro.check.runner import structured_vectors
 from repro.common.constants import (
     CACHELINE_BYTES,
     CHUNK_BYTES,
     GRANULARITIES,
     LINES_PER_CHUNK,
+    LINES_PER_PARTITION,
     MAC_BYTES,
     PARTITIONS_PER_CHUNK,
 )
@@ -82,8 +85,11 @@ def test_granularity_resolution_matches_naive():
 
 def test_detection_and_merge_match_naive():
     rng = random.Random(RNG_SEED + 3)
-    for _ in range(64):
-        vector = rng.getrandbits(LINES_PER_CHUNK)
+    vectors = [rng.getrandbits(LINES_PER_CHUNK) for _ in range(64)]
+    # Uniform draws almost never hold an empty or full window; the
+    # structured ones reach the keep and promote branches of the merge.
+    vectors += structured_vectors(rng, 256)
+    for vector in vectors:
         got = detector.detect_stream_partitions(vector)
         assert got == ref.ref_detect_stream_partitions(vector)
         previous = rng.getrandbits(PARTITIONS_PER_CHUNK)
@@ -91,6 +97,23 @@ def test_detection_and_merge_match_naive():
             assert detector.merge_detection(
                 previous, vector, censored
             ) == ref.ref_merge_detection(previous, vector, censored)
+
+
+def test_structured_vectors_mix_every_window_kind():
+    full = (1 << LINES_PER_PARTITION) - 1
+    kinds = Counter()
+    for vector in structured_vectors(random.Random(RNG_SEED), 64):
+        for part in range(PARTITIONS_PER_CHUNK):
+            window = vector >> (part * LINES_PER_PARTITION) & full
+            if not window:
+                kinds["empty"] += 1
+            elif window == full:
+                kinds["full"] += 1
+            else:
+                kinds["partial"] += 1
+    # Uniform draws would give ~1/256 empty and ~1/256 full windows.
+    total = sum(kinds.values())
+    assert min(kinds["empty"], kinds["full"], kinds["partial"]) > total / 8
 
 
 def test_promotion_arithmetic_matches_naive():

@@ -38,6 +38,11 @@ class TestDerivedCounts:
     def test_chunk_offset_bits_match_chunk_size(self):
         assert 1 << constants.CHUNK_OFFSET_BITS == constants.CHUNK_BYTES
 
+    def test_shift_and_mask_forms_match_sizes(self):
+        assert constants.CHUNK_OFFSET_MASK == constants.CHUNK_BYTES - 1
+        assert 1 << constants.CACHELINE_SHIFT == constants.CACHELINE_BYTES
+        assert 1 << constants.PARTITION_SHIFT == constants.PARTITION_BYTES
+
     def test_chunk_index_bits_complement_offset(self):
         assert constants.CHUNK_INDEX_BITS + constants.CHUNK_OFFSET_BITS == 64
 
