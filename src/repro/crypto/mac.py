@@ -15,19 +15,49 @@ from __future__ import annotations
 
 import hmac
 import struct
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.common.constants import MAC_BYTES
 from repro.crypto.keys import keyed_blake2b
 
+#: Personalization of a fine MAC's hash.
+_FINE_PERSON = b"repro-mac-fine0"
+#: The (address, counter) prefix of a fine MAC's input.
+_LINE_HEADER = struct.Struct("<QQ")
+
 
 def compute_mac(key: bytes, addr: int, counter: int, data: bytes) -> bytes:
     """Fine-grained 8B MAC over (address, counter, ciphertext)."""
-    h = keyed_blake2b(key, b"repro-mac-fine0", MAC_BYTES)
-    h.update(addr.to_bytes(8, "little"))
-    h.update(counter.to_bytes(8, "little"))
+    h = keyed_blake2b(key, _FINE_PERSON, MAC_BYTES)
+    try:
+        h.update(_LINE_HEADER.pack(addr, counter))
+    except struct.error as exc:  # a field out of range
+        raise OverflowError(str(exc)) from None
     h.update(data)
     return h.digest()
+
+
+def line_macs(
+    key: bytes,
+    addrs: Iterable[int],
+    counters: Iterable[int],
+    data: Iterable[bytes],
+) -> List[bytes]:
+    """Fine MACs of many lines, one (address, counter) pair each.
+
+    Byte-identical to ``[compute_mac(key, a, c, d) for a, c, d in
+    zip(addrs, counters, data)]``, with the pre-keyed state fetched once
+    per call and one update per line over its packed (address, counter)
+    and its bytes.
+    """
+    copy = keyed_blake2b(key, _FINE_PERSON, MAC_BYTES).copy
+    pack = _LINE_HEADER.pack
+    out: List[bytes] = []
+    for addr, counter, line in zip(addrs, counters, data):
+        h = copy()
+        h.update(pack(addr, counter) + line)
+        out.append(h.digest())
+    return out
 
 
 def nested_mac(key: bytes, fine_macs: Sequence[bytes]) -> bytes:

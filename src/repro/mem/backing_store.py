@@ -68,6 +68,10 @@ class BackingStore:
         line[offset] ^= flip_mask
         self._transient[addr] = bytes(line)
 
+    def has_transient(self, addr: int) -> bool:
+        """True when the next read of ``addr``'s line is glitched."""
+        return addr in self._transient
+
     def snapshot_line(self, addr: int) -> bytes:
         """Attacker primitive: copy a line for a later replay.
 

@@ -46,27 +46,35 @@ primitives start from cached pre-keyed hash states
 (:func:`repro.crypto.keys.keyed_blake2b`), which are on-chip key
 material like the :class:`KeySet` itself.
 
-Write-path invariant: one :meth:`SecureMemory.write` call defers two
+Write-path invariant: one :meth:`SecureMemory.write` call defers three
 kinds of sealing to points inside the same call.  The counter tree seals
-each changed node once (:attr:`CounterTree.defer_seals`), and
-consecutive lines that land in one coarse region (same base,
-granularity and current bitmap, no switch between them) form a *run*:
-the region is opened (verified + decrypted against its current off-chip
-bytes) at the run's first line, its shared counter is still incremented
-once per line, and its lines are encrypted and its merged MAC stored
-once, when the run ends -- at the next region, before a switch, first
-thing in the overflow and integrity handlers, and when the call returns
-or raises.  A scale-up switch that a write triggers starts the run
-itself, from the plaintexts it has just verified against the span's
-current off-chip bytes, instead of sealing the new region for the
-triggering line to open it again.  Under ``multigranular`` the call
-also remembers the ciphertext and plaintext of each line it sealed at
-64B in its current chunk; a switch's first pass still reads such a line
-back from off-chip, takes the call's plaintext when the bytes equal the
-call's ciphertext, and verifies any other bytes as before.  The memory
-is dropped when the call moves to another chunk, at every switch and
-handler, and when the call ends.  Nothing deferred outlives the call:
-a write's first touch of a region always verifies it, a tamper staged
+each changed node once (:attr:`CounterTree.defer_seals`).  Consecutive
+lines that land in one coarse region (same base, granularity and current
+bitmap, no switch between them) form a *run*: the region is opened
+(verified + decrypted against its current off-chip bytes) at the run's
+first line, its shared counter is still incremented once per line, and
+its lines are encrypted and its merged MAC stored once, when the run
+ends -- at the next region, before a switch, first thing in the overflow
+and integrity handlers, and when the call returns or raises.  And a line
+that a call of more than one line writes at 64B is *pending*: its
+counter is bumped at once, but the bumped counter and the plaintext wait
+on-chip, as trusted state that dies with the call, and the call's
+pending lines are encrypted and MACed in one batched pass -- when the
+call moves to another chunk, when it returns or raises, first thing in
+the overflow and integrity handlers and in chunk re-encryption, and at
+the start of a switch, under the switch's old bitmap, for the lines
+outside its span.  A scale-up switch that a write triggers takes the
+pending plaintexts of its span directly and starts the run itself, from
+them and the plaintexts it has just verified against the span's current
+off-chip bytes, instead of sealing the new region for the triggering
+line to open it again; any other switch first seals every pending line,
+and a switch that raises seals what is left pending under the old bitmap
+before a retry or the failure handler.  Nothing reads a pending line
+from off-chip, with one exception: when a transient glitch is staged on
+a line a switch takes, the switch seals that line first and reads it
+back, so the glitch is consumed and checked exactly as when every line
+is sealed as it is written.  Nothing deferred outlives the call: a
+write's first touch of a region always verifies it, a tamper staged
 between two writes is caught by the second, and the state after each
 call is the one resealing every line leaves.
 
@@ -76,7 +84,8 @@ only counts.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.address import align_down, check_range, chunk_base, chunk_index, iter_lines
 from repro.common.constants import (
@@ -99,8 +108,8 @@ from repro.core.gran_table import GranularityTable, SwitchEvent
 from repro.core.switching import SwitchAccounting
 from repro.core.tracker import AccessTracker
 from repro.crypto.keys import KeySet
-from repro.crypto.mac import compute_mac, macs_equal, nested_mac
-from repro.crypto.otp import decrypt_line, encrypt_line
+from repro.crypto.mac import compute_mac, line_macs, macs_equal, nested_mac
+from repro.crypto.otp import decrypt_line, encrypt_line, encrypt_lines
 from repro.mem.backing_store import BackingStore
 from repro.obs import EventType, ObsContext
 from repro.secure_memory.failure import FailurePolicy, IntegrityEvent, IntegrityLog
@@ -182,10 +191,12 @@ class SecureMemory:
         self._quarantine_masks: Dict[int, int] = {}
         # The coarse region a ``write`` call has opened and not sealed.
         self._run: Optional[_OpenRun] = None
-        # Line -> (ciphertext, plaintext) of the lines the running
-        # ``write`` call sealed at 64B in its current chunk (module
-        # docstring); only the multigranular policy fills it.
-        self._sealed_lines: Dict[int, Tuple[bytes, bytes]] = {}
+        # Line -> (bumped counter, plaintext) of the 64B lines the
+        # running ``write`` call has not sealed yet, all in one chunk
+        # (module docstring).  A one-line call has nothing to batch: it
+        # seals its line as it writes it (``_defer_lines`` is False).
+        self._pending: Dict[int, Tuple[int, bytes]] = {}
+        self._defer_lines = False
         self.cycle = 0
         self.reads = 0
         self.writes = 0
@@ -198,25 +209,27 @@ class SecureMemory:
     def write(self, addr: int, data: bytes) -> None:
         """Encrypt and store ``data`` at 64B-aligned ``addr``.
 
-        Tree-node and coarse-region seals wait for the end of the call
-        (see the module docstring); none outlives it.
+        Tree-node, coarse-region and 64B-line seals wait for points
+        inside the call (see the module docstring); none outlives it.
         """
         self._check_aligned_access(addr, len(data))
         tree = self.tree
-        sealed_lines = self._sealed_lines
+        pending = self._pending
+        self._defer_lines = len(data) > CACHELINE_BYTES
         tree.defer_seals = True
         try:
             for line_index in iter_lines(addr, len(data)):
                 line_addr = line_index * CACHELINE_BYTES
-                if sealed_lines and not line_addr % CHUNK_BYTES:
-                    sealed_lines.clear()  # a switch never spans chunks
+                if pending and not line_addr % CHUNK_BYTES:
+                    self._seal_pending()  # pending lines share one chunk
                 offset = line_addr - addr
                 payload = data[offset : offset + CACHELINE_BYTES]
                 self._write_line(line_addr, payload)
                 self.writes += 1
         finally:
-            sealed_lines.clear()
             tree.defer_seals = False
+            if pending:
+                self._seal_pending()
             self._close_run()
             tree.seal()
 
@@ -363,7 +376,7 @@ class SecureMemory:
             self._write_line_at(line_addr, payload, granularity)
         except CounterOverflowError:
             self._close_run()
-            self._sealed_lines.clear()
+            self._seal_pending()
             level = granularity_level(granularity)
             region_base = align_down(line_addr, granularity)
             if self.tree.read_counter(region_base, level) < self.tree.counter_limit:
@@ -390,7 +403,7 @@ class SecureMemory:
             self._write_line_at(line_addr, payload, granularity)
         except (IntegrityError, ReplayError) as exc:
             self._close_run()
-            self._sealed_lines.clear()
+            self._seal_pending()
             self._handle_write_failure(line_addr, payload, granularity, exc)
 
     def _write_line_at(
@@ -399,11 +412,12 @@ class SecureMemory:
         if granularity == GRANULARITIES[0]:
             self._close_run()
             counter = self.tree.increment_counter(line_addr, level=0)
-            ciphertext = self._seal_line(
-                line_addr, counter, payload, self._current_bits(line_addr)
-            )
-            if self.policy == "multigranular":
-                self._sealed_lines[line_addr] = (ciphertext, payload)
+            if self._defer_lines:
+                self._pending[line_addr] = (counter, payload)
+            else:
+                self._seal_line(
+                    line_addr, counter, payload, self._current_bits(line_addr)
+                )
             return
         self._write_line_coarse(line_addr, payload, granularity)
 
@@ -680,10 +694,20 @@ class SecureMemory:
         and the overflowing write retries.  Quarantined lines are not
         carried -- they stay quarantined.  ``skip_base/skip_size``
         exclude a span the caller re-seals itself (mid-switch
-        overflow).
+        overflow).  Lines the running write left pending are sealed
+        first, under the old epoch's keys.
         """
         if bits is None:
             bits = self._current_bits(chunk_b)
+        # Only a write-triggered scale-up's span can still hold pending
+        # lines here (the overflow handler seals them before it calls):
+        # ``skip_base`` covers that span and the switch reseals it.
+        # Sealing them now, under the old epoch, is what sealing each
+        # line as it is written leaves if the switch's pass 2 then fails.
+        # No test reaches that case: a scale-up's pass 2 only touches
+        # tree nodes its pass 1 verified, so it cannot fail.  The flush
+        # keeps the re-key's result from resting on that argument.
+        self._seal_pending(bits)
         limit = min(CHUNK_BYTES, self.geometry.region_bytes - chunk_b)
         sealed = []
         for sub, sub_g in self._iter_subregions(chunk_b, limit, bits):
@@ -813,7 +837,14 @@ class SecureMemory:
         """
         self._close_run()  # the switch re-opens the span from off-chip
         try:
-            self._apply_switch_functional(event)
+            try:
+                self._apply_switch_functional(event)
+            finally:
+                # A failed attempt hands nothing to the write's run: the
+                # lines still pending are sealed where the write put
+                # them, before a retry or the failure handler opens them.
+                # After a success nothing is pending.
+                self._seal_pending(event.old_bits)
             return
         except (IntegrityError, ReplayError) as exc:
             self.events.bump("switch_failures")
@@ -827,10 +858,6 @@ class SecureMemory:
                     self._record_recovery("switch-failure", event.addr, exc)
                     return
             self._handle_switch_failure(event, exc)
-        finally:
-            # Counters, MACs or the key epoch of those lines may have
-            # moved: a later switch in this call verifies them off-chip.
-            self._sealed_lines.clear()
 
     def _handle_switch_failure(self, event: SwitchEvent, exc: Exception) -> None:
         span = max(event.old_granularity, event.new_granularity)
@@ -906,25 +933,25 @@ class SecureMemory:
         A scale-up triggered by a write does not seal its one new
         region: the triggering line lands in it, so the switch hands it
         over as the write's open run (module docstring), to be sealed
-        once when that run ends.
+        once when that run ends.  It takes the lines of the span that
+        the write left pending from the call, not from off-chip; every
+        other pending line is sealed first, under the old bitmap.
         """
         span = max(event.old_granularity, event.new_granularity)
         span_base = align_down(event.addr, span)
         hand_off = event.is_write and event.scale_up
+        self._seal_pending(event.old_bits, keep=(span_base, span) if hand_off else None)
         old_layout = list(self._iter_subregions(span_base, span, event.old_bits))
 
-        # Pass 1: open every sub-region under its old seal.  A 64B line
-        # this write call sealed is read back and taken from the call
-        # when its off-chip bytes are the ones the call wrote.
+        # Pass 1: open every sub-region under its old seal, or take a
+        # pending line's plaintext from the call.
         plaintexts: List[bytes] = []
         max_counter = 0
-        sealed_lines = self._sealed_lines
+        pending = self._pending
         for sub, sub_g in old_layout:
             counter = self.tree.read_counter(sub, level=granularity_level(sub_g))
-            if sub_g == GRANULARITIES[0] and sub in sealed_lines:
-                plaintexts.append(
-                    self._reopen_sealed_line(sub, counter, event.old_bits)
-                )
+            if sub in pending:  # a 64B line, as every pending line is
+                plaintexts.append(self._take_pending(sub, event.old_bits))
             else:
                 plaintexts.extend(
                     self._open_region(sub, sub_g, counter, event.old_bits)
@@ -970,18 +997,29 @@ class SecureMemory:
 
         # Pass 2: reseal every sub-region under its new granularity.
         fresh_macs = set()
-        for sub, sub_g in self._iter_subregions(span_base, span, event.new_bits):
-            level = granularity_level(sub_g)
-            self.tree.set_counter(sub, level, shared, revive=True)
-            if level > 0:
-                self.tree.prune_subtree(sub, level)
-            if not hand_off:
-                first_line = (sub - span_base) // CACHELINE_BYTES
-                lines = plaintexts[first_line : first_line + sub_g // CACHELINE_BYTES]
-                self._seal_region(sub, sub_g, shared, lines, event.new_bits)
-            fresh_macs.add(
-                addressing.mac_addr(self.geometry, event.new_bits, sub)
-            )
+        try:
+            for sub, sub_g in self._iter_subregions(
+                span_base, span, event.new_bits
+            ):
+                level = granularity_level(sub_g)
+                self.tree.set_counter(sub, level, shared, revive=True)
+                if level > 0:
+                    self.tree.prune_subtree(sub, level)
+                if not hand_off:
+                    first_line = (sub - span_base) // CACHELINE_BYTES
+                    lines = plaintexts[
+                        first_line : first_line + sub_g // CACHELINE_BYTES
+                    ]
+                    self._seal_region(sub, sub_g, shared, lines, event.new_bits)
+                fresh_macs.add(
+                    addressing.mac_addr(self.geometry, event.new_bits, sub)
+                )
+        except (IntegrityError, ReplayError):
+            # The attempt is retried, or the table rolls back to the old
+            # bitmap: the other regions' MACs stay where it addresses
+            # them.
+            self._reinsert_macs(outside, event.old_bits)
+            raise
 
         # Reclaim obsolete MAC slots (compaction frees them, Fig. 9).
         for mac_addr in stale_macs - fresh_macs:
@@ -991,7 +1029,9 @@ class SecureMemory:
         if hand_off:
             # Last, so a failed attempt never leaves a run open.  If the
             # write's line does not join it, ``_close_run`` seals it
-            # exactly as the loop above would have.
+            # exactly as the loop above would have.  The span's pending
+            # lines, all that is left pending, ride in it.
+            pending.clear()
             self._run = _OpenRun(
                 span_base, span, event.new_bits, shared, plaintexts
             )
@@ -1085,19 +1125,70 @@ class SecureMemory:
             self._raise_classified(line_addr, counter, ciphertext, stored)
         return decrypt_line(keys.encryption_key, line_addr, counter, ciphertext)
 
-    def _reopen_sealed_line(self, line_addr: int, counter: int, bits: int) -> bytes:
-        """Open a line the running ``write`` call sealed at 64B.
+    def _seal_pending(
+        self,
+        bits: Optional[int] = None,
+        keep: Optional[Tuple[int, int]] = None,
+    ) -> None:
+        """Seal the lines the running ``write`` left pending, in one pass.
 
-        The line is read back from off-chip like any other (so a staged
-        transient glitch is consumed exactly as :meth:`_open_line` would
-        consume it).  Bytes equal to the ciphertext the call wrote are
-        taken with the call's plaintext; any other bytes are verified.
+        Their MACs are stored at their addresses under ``bits`` (default:
+        their chunk's current bitmap).  Lines inside the span ``keep``
+        (base, size) stay pending.
         """
+        pending = self._pending
+        if keep is None:
+            items = list(pending.items())
+            pending.clear()
+        else:
+            base, size = keep
+            outside = [addr for addr in pending if not base <= addr < base + size]
+            items = [(addr, pending.pop(addr)) for addr in outside]
+        if not items:
+            return
+        addrs, entries = zip(*items)
+        counters, payloads = zip(*entries)
+        if bits is None:
+            bits = self._current_bits(addrs[0])
+        fine_macs = self._seal_lines(
+            self._keys_for(addrs[0]), addrs, counters, payloads
+        )
+        geometry, macs = self.geometry, self._macs
+        for addr, mac in zip(addrs, fine_macs):
+            macs[addressing.mac_addr(geometry, bits, addr)] = mac
+
+    def _take_pending(self, line_addr: int, bits: int) -> bytes:
+        """Plaintext of a pending line, for a switch's first pass.
+
+        The line's off-chip bytes are stale, so they are not read --
+        unless a transient glitch is staged on it.  Then the line is
+        sealed first and read back, so the glitch is consumed and
+        checked exactly as when the line was sealed as it was written:
+        bytes other than the sealed ones are verified (and fail).
+        """
+        counter, plaintext = self._pending[line_addr]
+        if not self.dram.has_transient(line_addr):
+            return plaintext
+        del self._pending[line_addr]
+        sealed = self._seal_line(line_addr, counter, plaintext, bits)
         ciphertext = self.dram.read_line(line_addr)
-        sealed_ciphertext, plaintext = self._sealed_lines[line_addr]
-        if ciphertext == sealed_ciphertext:
+        if ciphertext == sealed:
             return plaintext
         return self._open_line(line_addr, counter, bits, ciphertext)
+
+    def _seal_lines(
+        self,
+        keys: KeySet,
+        addrs: Sequence[int],
+        counters: Sequence[int],
+        plaintexts: Sequence[bytes],
+    ) -> List[bytes]:
+        """Encrypt lines into off-chip memory; return their fine MACs."""
+        ciphertexts = encrypt_lines(keys.encryption_key, addrs, counters, plaintexts)
+        write_line = self.dram.write_line
+        for addr, ciphertext in zip(addrs, ciphertexts):
+            write_line(addr, ciphertext)
+        return line_macs(keys.mac_key, addrs, counters, ciphertexts)
 
     def _seal_region(
         self,
@@ -1108,22 +1199,18 @@ class SecureMemory:
         bits: int,
     ) -> None:
         """Encrypt a region under ``counter`` and store its merged MAC."""
-        keys = self._keys_for(region_base)
-        fine_macs: List[bytes] = []
-        for index, off in enumerate(range(0, granularity, CACHELINE_BYTES)):
-            addr = region_base + off
-            ciphertext = encrypt_line(
-                keys.encryption_key, addr, counter, plaintexts[index]
-            )
-            self.dram.write_line(addr, ciphertext)
-            fine_macs.append(
-                compute_mac(keys.mac_key, addr, counter, ciphertext)
-            )
-        mac_addr = addressing.mac_addr(self.geometry, bits, region_base)
         if granularity == GRANULARITIES[0]:
-            self._macs[mac_addr] = fine_macs[0]
-        else:
-            self._macs[mac_addr] = nested_mac(keys.mac_key, fine_macs)
+            self._seal_line(region_base, counter, plaintexts[0], bits)
+            return
+        keys = self._keys_for(region_base)
+        fine_macs = self._seal_lines(
+            keys,
+            range(region_base, region_base + granularity, CACHELINE_BYTES),
+            [counter] * (granularity // CACHELINE_BYTES),
+            plaintexts,
+        )
+        mac_addr = addressing.mac_addr(self.geometry, bits, region_base)
+        self._macs[mac_addr] = nested_mac(keys.mac_key, fine_macs)
 
     def _open_region(
         self, region_base: int, granularity: int, counter: int, bits: int
@@ -1134,11 +1221,12 @@ class SecureMemory:
         ciphertexts = self._verify_region(region_base, granularity, counter, bits)
         if ciphertexts is None:
             return [_ZERO_LINE] * (granularity // CACHELINE_BYTES)
-        enc_key = self._keys_for(region_base).encryption_key
-        return [
-            decrypt_line(enc_key, region_base + off, counter, ct)
-            for off, ct in zip(range(0, granularity, CACHELINE_BYTES), ciphertexts)
-        ]
+        return encrypt_lines(  # XOR with the same pads decrypts
+            self._keys_for(region_base).encryption_key,
+            range(region_base, region_base + granularity, CACHELINE_BYTES),
+            repeat(counter),
+            ciphertexts,
+        )
 
     def _verify_region(
         self, region_base: int, granularity: int, counter: int, bits: int
@@ -1149,7 +1237,9 @@ class SecureMemory:
         result with the stored merged MAC; a mismatch probes older
         counters to classify replay vs corruption.  Returns the
         verified ciphertexts, or ``None`` for a pristine (never
-        written) region, which reads as zeros.
+        written) region, which reads as zeros.  The check MACs line by
+        line through :func:`compute_mac`, the call a traced run counts
+        per line read; the probe, diagnostics only, runs batched.
         """
         mac_key = self._keys_for(region_base).mac_key
         ciphertexts = [
@@ -1174,13 +1264,9 @@ class SecureMemory:
         merged = nested_mac(mac_key, fine_macs)
         if not macs_equal(stored, merged):
             # Probe older counters to classify replay vs corruption.
+            addrs = range(region_base, region_base + granularity, CACHELINE_BYTES)
             for old in range(max(0, counter - _REPLAY_PROBE_WINDOW), counter):
-                old_fines = [
-                    compute_mac(mac_key, region_base + off, old, ct)
-                    for off, ct in zip(
-                        range(0, granularity, CACHELINE_BYTES), ciphertexts
-                    )
-                ]
+                old_fines = line_macs(mac_key, addrs, repeat(old), ciphertexts)
                 if macs_equal(nested_mac(mac_key, old_fines), stored):
                     raise ReplayError(
                         f"replayed region detected at {region_base:#x}"

@@ -217,6 +217,26 @@ class TestSwitchIntegrity:
         assert mem.read(4096, CACHELINE_BYTES) == b"\xcc" * CACHELINE_BYTES
         assert mem.read(0, 512) == b"\xdd" * 512
 
+    @pytest.mark.parametrize(
+        "policy", ["raise", "quarantine", "retry-then-quarantine"]
+    )
+    def test_failed_reseal_keeps_the_chunks_other_macs(self, policy):
+        """Regression: a switch whose re-seal pass fails must put back
+        the MACs it moved aside for the chunk's other regions."""
+        mem = SecureMemory(REGION, keys=KEYS, failure_policy=policy)
+        mem.write(0x5000, b"\x5a" * CACHELINE_BYTES)  # same-chunk bystander
+        mem.write(0x2000, b"\x2a" * 4096)
+        assert mem.force_granularity(0x2000, 4096) == 4096
+        # Forged seals on nodes the promotion pruned: the scale-down
+        # meets them only when its second pass revives them.
+        mem.tree.replay_node(0x2000, ([0] * 8, b"\0" * 8), level=0)
+        mem.tree.replay_node(0x2000, ([0] * 8, b"\x11" * 8), level=1)
+        stored = len(mem.mac_addresses())
+        with pytest.raises(SecurityError):
+            mem.force_granularity(0x2000, 64)
+        assert len(mem.mac_addresses()) == stored
+        assert mem.read(0x5000, CACHELINE_BYTES) == b"\x5a" * CACHELINE_BYTES
+
     def test_mid_switch_tamper_contained(self):
         mem = SecureMemory(REGION, keys=KEYS, failure_policy="quarantine")
         mem.write(CHUNK_BYTES, b"\xee" * CACHELINE_BYTES)  # bystander

@@ -22,31 +22,51 @@ def stream_chunk(memory, base=0, data=CHUNK_DATA):
     memory.write(base, data)
 
 
-def count_calls(monkeypatch, names):
+def count_calls(monkeypatch, names, kernels=None):
     """Count calls of module globals, through the names a profiler wraps.
 
     ``names`` maps a module attribute name to its owning module; the
     returned counter fills as the wrapped functions are called.
+    ``kernels`` maps a batched kernel's attribute name to its owning
+    module and the per-line function it stands for: a kernel call that
+    returns n lines counts as n calls of that function.
     """
     counts = Counter()
-    for name, owner in names.items():
+
+    def wrap(owner, name, counted, per_line):
         original = getattr(owner, name)
 
-        def wrapper(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            counts[counted] += len(result) if per_line else 1
+            return result
 
         monkeypatch.setattr(owner, name, wrapper)
+
+    for name, owner in names.items():
+        wrap(owner, name, name, per_line=False)
+    for name, (owner, counted) in (kernels or {}).items():
+        wrap(owner, name, counted, per_line=True)
     return counts
+
+
+def crypto_kernels():
+    """The engine's batched pad and line-MAC kernels, for ``count_calls``."""
+    from repro.secure_memory import engine
+
+    return {
+        "encrypt_lines": (engine, "generate_otp"),
+        "line_macs": (engine, "compute_mac"),
+    }
 
 
 def nothing_deferred(memory):
     """No tree node waits for its seal, no coarse region is open and no
-    line sealed by the call is remembered."""
+    written line is pending."""
     return (
         memory._run is None
         and not memory.tree._unsealed
-        and not memory._sealed_lines
+        and not memory._pending
     )
 
 
@@ -121,7 +141,8 @@ class TestMergedMacSecurity:
 class TestReadPath:
     """A read verifies each covering region once and decrypts only what
     it returns.  Calls are counted through the module names a profiler
-    wraps: the engine's MAC imports and the OTP module's pad function.
+    wraps: the engine's MAC imports and the OTP module's pad function,
+    plus one per line of the engine's batched pad and MAC kernels.
     """
 
     @pytest.fixture()
@@ -132,6 +153,7 @@ class TestReadPath:
         return count_calls(
             monkeypatch,
             {"compute_mac": engine, "nested_mac": engine, "generate_otp": otp},
+            crypto_kernels(),
         )
 
     def test_64b_read_of_promoted_region_verifies_all_decrypts_one(
@@ -175,10 +197,10 @@ class TestReadPath:
 
 
 class TestWritePath:
-    """A write seals each changed tree node once and each coarse region
-    once per run of its lines, and nothing deferred outlives the call.
-    Calls are counted through the same module names as TestReadPath, plus
-    the tree's node-MAC import.
+    """A write seals each changed tree node once, each coarse region
+    once per run of its lines and each 64B line once, and nothing
+    deferred outlives the call.  Calls are counted as in TestReadPath,
+    plus the tree's node-MAC import.
     """
 
     @pytest.fixture()
@@ -195,6 +217,7 @@ class TestWritePath:
                 "generate_otp": otp,
                 "node_mac": integrity_tree,
             },
+            crypto_kernels(),
         )
 
     def test_fresh_chunk_write_seals_each_changed_node_once(self, keys, calls):
@@ -209,14 +232,21 @@ class TestWritePath:
     def test_fresh_chunk_put_seals_the_promoted_region_once(self, memory, calls):
         memory.write(0, CHUNK_DATA)
         assert memory.granularity_of(0) == CHUNK_BYTES
-        # 511 fine lines are sealed; the scale-up at the 512th reads them
-        # back and, finding the bytes the call wrote, takes the call's
-        # plaintexts instead of verifying and decrypting them again.  The
-        # promoted region is sealed once, when the write's run ends, not
-        # by the switch and again by the run.
-        assert calls["generate_otp"] == calls["compute_mac"] == 1023
+        # 511 fine lines wait unsealed; the scale-up at the 512th takes
+        # their plaintexts from the call, and the promoted region is
+        # sealed once, when the write's run ends: each line gets one pad
+        # and one MAC, as under the fixed policy.
+        assert calls["generate_otp"] == calls["compute_mac"] == 512
         assert calls["nested_mac"] == 1
         assert memory.counter_value(0) == 3
+        assert nothing_deferred(memory)
+        assert memory.read(0, CHUNK_BYTES) == CHUNK_DATA
+
+    def test_fixed_chunk_put_seals_each_line_once(self, keys, calls):
+        memory = SecureMemory(REGION, keys=keys, policy="fixed")
+        memory.write(0, CHUNK_DATA)
+        assert calls["generate_otp"] == calls["compute_mac"] == 512
+        assert calls["nested_mac"] == 0
         assert nothing_deferred(memory)
         assert memory.read(0, CHUNK_BYTES) == CHUNK_DATA
 

@@ -200,6 +200,8 @@ def apply_step(memory, op, write):
         return outcome(lambda: memory.tamper_mac(addr))
     if kind == "advance":
         memory.advance(where)
+    elif kind == "forge_node":  # examples only: a forged seal on a tree node
+        memory.tree.replay_node(addr, ([0] * 8, bytes([op[3]]) * 8), level=op[2])
     elif kind == "tamper":
         memory.tamper_data(addr, flip_mask=1 << op[2])
     elif kind == "glitch":
@@ -262,6 +264,48 @@ class TestSplitWriteEquivalence:
     @example(
         "multigranular", "raise", 64,
         [("write", 0, 8, 1), ("glitch", 3), ("stream", 0, 2)],
+    )
+    # A glitch staged on a line the write leaves pending, which a later
+    # switch in the same call (reads marked partition 1 as streamed)
+    # leaves outside its span: sealing that line must not consume the
+    # glitch, and the next read of the line meets it.
+    @example(
+        "multigranular", "retry-then-quarantine", 64,
+        [
+            ("glitch", 3), ("read", 8, 8), ("advance", 20_000),
+            ("read", 600, 1), ("write", 0, 16, 3), ("read", 3, 1),
+        ],
+    )
+    # Lines 0-4 are pending when line 5's counter overflows mid-call: the
+    # overflow handler seals them before it re-encrypts the chunk.
+    @example(
+        "multigranular", "quarantine", 6,
+        [("write", 5, 1, 1)] * 63 + [("write", 0, 16, 2), ("read", 2, 8)],
+    )
+    # A 4 KB region whose pruned tree nodes carry forged seals, and a
+    # read that marks its first partition fine: the write's scale-down
+    # fails in its re-seal pass, after lines 120-127 were pending, and
+    # the bystander line 320 of the same chunk must keep its MAC.
+    @example(
+        "multigranular", "raise", 64,
+        [
+            ("write", 320, 1, 5), ("write", 128, 64, 2), ("advance", 20_000),
+            ("read", 600, 1), ("force", 128, 4096),
+            ("forge_node", 128, 0, 0x00), ("forge_node", 128, 1, 0x11),
+            ("read", 130, 1), ("advance", 20_000), ("read", 600, 1),
+            ("write", 120, 16, 7), ("read", 320, 1),
+        ],
+    )
+    # The stream's scale-up fails on line 511, tampered after an earlier
+    # write sealed it: lines 0-510, still pending, must be sealed before
+    # the retries and the failure handler open them, so that only line
+    # 511 is quarantined.
+    @example(
+        "multigranular", "retry-then-quarantine", 64,
+        [
+            ("write", 511, 1, 4), ("advance", 20_000), ("read", 600, 1),
+            ("tamper", 511, 0), ("stream", 0, 5), ("read", 3, 1),
+        ],
     )
     def test_one_write_matches_line_by_line_writes(
         self, policy, failure_policy, counter_bits, history

@@ -1,18 +1,27 @@
 """Functional crypto: OTP uniqueness, MAC binding, nested MAC folding."""
 
 import hashlib
+import random
+from itertools import repeat
 
 import pytest
 
 from repro.crypto.keys import KEY_BYTES, KeySet
 from repro.crypto.mac import (
     compute_mac,
+    line_macs,
     macs_equal,
     nested_mac,
     node_mac,
     pack_counters,
 )
-from repro.crypto.otp import decrypt_line, encrypt_line, generate_otp, xor_bytes
+from repro.crypto.otp import (
+    decrypt_line,
+    encrypt_line,
+    encrypt_lines,
+    generate_otp,
+    xor_bytes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -263,3 +272,46 @@ class TestKnownAnswers:
         for tenant in range(limit + 16):
             compute_mac(tenant.to_bytes(KEY_BYTES, "little"), 0, 0, b"")
         assert keys_module._prekeyed.cache_info().currsize == limit
+
+
+class TestLineKernels:
+    """The batched kernels equal the per-line primitives, pair by pair."""
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(20)
+        addrs = [0, 64, 0x1240, 2**40 + 64]
+        addrs += [rng.randrange(2**30) * 64 for _ in range(60)]
+        counters = [0, 1, 2**64 - 1, 7] + [rng.randrange(2**64) for _ in range(60)]
+        lines = [rng.randbytes(64) for _ in addrs]
+        return addrs, counters, lines
+
+    def test_encrypt_lines_matches_encrypt_line(self, keys):
+        addrs, counters, lines = self.pairs()
+        key = keys.encryption_key
+        out = encrypt_lines(key, addrs, counters, lines)
+        assert out == [encrypt_line(key, *args) for args in zip(addrs, counters, lines)]
+        assert encrypt_lines(key, addrs, counters, out) == lines
+
+    def test_encrypt_lines_takes_a_shared_counter(self, keys):
+        addrs = range(0x8000, 0x8000 + 4096, 64)
+        lines = [bytes([i]) * 64 for i in range(64)]
+        assert encrypt_lines(keys.encryption_key, addrs, repeat(9), lines) == [
+            encrypt_line(keys.encryption_key, a, 9, line)
+            for a, line in zip(addrs, lines)
+        ]
+
+    def test_encrypt_lines_rejects_a_partial_line(self, keys):
+        with pytest.raises(ValueError, match="line of 63 bytes, expected 64"):
+            encrypt_lines(keys.encryption_key, [0, 64], [1, 1], [bytes(64), bytes(63)])
+
+    def test_line_macs_matches_compute_mac(self, keys):
+        addrs, counters, lines = self.pairs()
+        data = lines[:-3] + [b"", bytes(100), bytearray(b"\x01" * 64)]
+        assert line_macs(keys.mac_key, addrs, counters, data) == [
+            compute_mac(keys.mac_key, *args) for args in zip(addrs, counters, data)
+        ]
+
+    def test_kernels_stop_at_the_shortest_input(self, keys):
+        assert encrypt_lines(keys.encryption_key, [0], repeat(1), []) == []
+        assert line_macs(keys.mac_key, [], [], [b"x"]) == []
