@@ -175,6 +175,18 @@ def ref_mac_index(
     raise AssertionError("address outside its own chunk")  # pragma: no cover
 
 
+def ref_mac_indices(bits: int, max_granularity: int = GRANULARITIES[3]) -> List[int]:
+    """:func:`ref_mac_index` of every line of a chunk, in line order.
+
+    The same rule from one walk of the chunk's regions: each line gets
+    the count of the regions before its own.
+    """
+    indices: List[int] = []
+    for index, (_, granularity) in enumerate(ref_region_spans(bits, max_granularity)):
+        indices.extend([index] * (granularity // CACHELINE_BYTES))
+    return indices
+
+
 def ref_macs_per_chunk(bits: int, max_granularity: int = GRANULARITIES[3]) -> int:
     """Post-merge MAC count of a chunk: simply the number of regions."""
     return len(ref_region_spans(bits, max_granularity))

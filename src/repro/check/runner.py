@@ -30,7 +30,7 @@ import contextlib
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.check import golden as golden_mod
 from repro.check import metamorphic
@@ -100,17 +100,29 @@ def specs_for_tier(tier: str) -> List[StreamSpec]:
 
 @contextlib.contextmanager
 def inject_layout_bug():
-    """Off-by-one the compacted-MAC offset (Eq. 1) for the duration."""
+    """Off-by-one the compacted-MAC offset (Eq. 1) for the duration.
+
+    Both lookups are patched, the per-line one and the batched one that
+    multi-line writes seal through, so every MAC the engine stores moves.
+    """
     original = addressing.mac_index_in_chunk
+    original_batch = addressing.mac_indices_in_chunk
 
     def buggy(bits: int, addr: int, max_granularity: int = GRANULARITIES[3]) -> int:
         return original(bits, addr, max_granularity) + 1
 
+    def buggy_batch(
+        bits: int, addrs: Sequence[int], max_granularity: int = GRANULARITIES[3]
+    ) -> List[int]:
+        return [index + 1 for index in original_batch(bits, addrs, max_granularity)]
+
     addressing.mac_index_in_chunk = buggy
+    addressing.mac_indices_in_chunk = buggy_batch
     try:
         yield
     finally:
         addressing.mac_index_in_chunk = original
+        addressing.mac_indices_in_chunk = original_batch
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +223,25 @@ def _check_functions(samples: int, seed: int) -> dict:
             f"macs_per_chunk(0x{bits:x})",
             addressing.macs_per_chunk(bits),
             ref.ref_macs_per_chunk(bits),
+        )
+        # The batched lookup multi-line writes seal through, at every
+        # line of the chunk; the whole-chunk oracle is pinned to the
+        # per-line one at this draw's line.
+        naive = ref.ref_mac_indices(bits)
+        expect(
+            f"ref_mac_indices(0x{bits:x})[0x{addr:x}]",
+            naive[(addr % CHUNK_BYTES) // 64],
+            ref.ref_mac_index(bits, addr),
+        )
+        base = addr - addr % CHUNK_BYTES
+        batched = addressing.mac_indices_in_chunk(
+            bits, range(base, base + CHUNK_BYTES, 64)
+        )
+        line = next((i for i, got in enumerate(batched) if got != naive[i]), 0)
+        expect(
+            f"mac_indices_in_chunk(0x{bits:x}, [.. 0x{base + line * 64:x} ..])",
+            batched[line],
+            naive[line],
         )
 
     def check_detection(vector: int) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common.constants import (
     CACHELINE_BYTES,
@@ -204,6 +204,27 @@ def mac_index_in_chunk(
     return index + ((addr >> CACHELINE_SHIFT) & (LINES_PER_PARTITION - 1))
 
 
+def mac_indices_in_chunk(
+    bits: int, addrs: Sequence[int], max_granularity: int = GRANULARITIES[3]
+) -> List[int]:
+    """:func:`mac_index_in_chunk` of each of ``addrs``, from one layout lookup.
+
+    The batched form for a write that seals many lines of one chunk at
+    once: the chunk's layout is looked up once, not once per line.
+    """
+    if bits == stream_part.FULL_MASK and max_granularity >= GRANULARITIES[3]:
+        return [0] * len(addrs)
+    part_index, part_merged, _ = _chunk_mac_layout(bits, max_granularity)
+    indices = []
+    for addr in addrs:
+        partition = (addr & CHUNK_OFFSET_MASK) >> PARTITION_SHIFT
+        index = part_index[partition]
+        if not part_merged[partition]:
+            index += (addr >> CACHELINE_SHIFT) & (LINES_PER_PARTITION - 1)
+        indices.append(index)
+    return indices
+
+
 def _macs_of_group(bits: int, group: int, max_granularity: int) -> int:
     mask = ((1 << _PARTS_PER_4KB) - 1) << (group * _PARTS_PER_4KB)
     if bits & mask == mask and max_granularity >= GRANULARITIES[2]:
@@ -225,6 +246,20 @@ def mac_addr(
     chunk_mac_base = geometry.mac_base + chunk * MAC_BYTES_PER_CHUNK
     index = mac_index_in_chunk(bits, addr, max_granularity)
     return chunk_mac_base + index * MAC_BYTES
+
+
+def mac_addrs(
+    geometry: TreeGeometry,
+    bits: int,
+    addrs: Sequence[int],
+    max_granularity: int = GRANULARITIES[3],
+) -> List[int]:
+    """:func:`mac_addr` of each of ``addrs`` (at least one), all in one chunk."""
+    chunk_mac_base = geometry.mac_base + addrs[0] // CHUNK_BYTES * MAC_BYTES_PER_CHUNK
+    return [
+        chunk_mac_base + index * MAC_BYTES
+        for index in mac_indices_in_chunk(bits, addrs, max_granularity)
+    ]
 
 
 def mac_line_addr(

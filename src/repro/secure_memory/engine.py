@@ -47,8 +47,10 @@ primitives start from cached pre-keyed hash states
 material like the :class:`KeySet` itself.
 
 Write-path invariant: one :meth:`SecureMemory.write` call defers three
-kinds of sealing to points inside the same call.  The counter tree seals
-each changed node once (:attr:`CounterTree.defer_seals`).  Consecutive
+kinds of sealing to points inside the same call.  The counter tree is a
+write-back cache for the call: a node updated many times climbs its
+freshness chain once at its first update and once more, with its summed
+count, when it is sealed (:attr:`CounterTree.defer_seals`).  Consecutive
 lines that land in one coarse region (same base, granularity and current
 bitmap, no switch between them) form a *run*: the region is opened
 (verified + decrypted against its current off-chip bytes) at the run's
@@ -116,7 +118,13 @@ from repro.secure_memory.failure import FailurePolicy, IntegrityEvent, Integrity
 from repro.tree.geometry import TreeGeometry
 from repro.tree.integrity_tree import CounterTree
 
+#: Older counters a replay probe tries (classification only, see
+#: ``_raise_classified``).
 _REPLAY_PROBE_WINDOW = 64
+#: Line MACs one probe of a coarse region may compute: its window is
+#: this budget over the region's lines, at most the window above -- 64
+#: counters for a 512 B or 4 KB region, 8 for a 32 KB one.
+_REPLAY_PROBE_LINES = 64 * 64
 _ZERO_LINE = bytes(CACHELINE_BYTES)
 
 
@@ -960,10 +968,11 @@ class SecureMemory:
 
         # Stale fine/merged MACs of the old layout are garbage once the
         # region is resealed; collect their addresses for reclamation.
-        stale_macs = {
-            addressing.mac_addr(self.geometry, event.old_bits, sub)
-            for sub, _ in old_layout
-        }
+        stale_macs = set(
+            addressing.mac_addrs(
+                self.geometry, event.old_bits, [sub for sub, _ in old_layout]
+            )
+        )
 
         # Scale-up under an exhausted counter would exceed the legal
         # width: rotate the chunk's key epoch first (re-encrypting the
@@ -1153,9 +1162,11 @@ class SecureMemory:
         fine_macs = self._seal_lines(
             self._keys_for(addrs[0]), addrs, counters, payloads
         )
-        geometry, macs = self.geometry, self._macs
-        for addr, mac in zip(addrs, fine_macs):
-            macs[addressing.mac_addr(geometry, bits, addr)] = mac
+        macs = self._macs
+        for mac_addr, mac in zip(
+            addressing.mac_addrs(self.geometry, bits, addrs), fine_macs
+        ):
+            macs[mac_addr] = mac
 
     def _take_pending(self, line_addr: int, bits: int) -> bytes:
         """Plaintext of a pending line, for a switch's first pass.
@@ -1235,9 +1246,10 @@ class SecureMemory:
 
         MACs every line, folds the fine MACs (Eq. 5) and compares the
         result with the stored merged MAC; a mismatch probes older
-        counters to classify replay vs corruption.  Returns the
-        verified ciphertexts, or ``None`` for a pristine (never
-        written) region, which reads as zeros.  The check MACs line by
+        counters, within a fixed line-MAC budget
+        (``_REPLAY_PROBE_LINES``), to classify replay vs corruption.
+        Returns the verified ciphertexts, or ``None`` for a pristine
+        (never written) region, which reads as zeros.  The check MACs line by
         line through :func:`compute_mac`, the call a traced run counts
         per line read; the probe, diagnostics only, runs batched.
         """
@@ -1263,9 +1275,11 @@ class SecureMemory:
         ]
         merged = nested_mac(mac_key, fine_macs)
         if not macs_equal(stored, merged):
-            # Probe older counters to classify replay vs corruption.
+            # Probe older counters to classify replay vs corruption,
+            # within the probe's line budget.
             addrs = range(region_base, region_base + granularity, CACHELINE_BYTES)
-            for old in range(max(0, counter - _REPLAY_PROBE_WINDOW), counter):
+            window = min(_REPLAY_PROBE_WINDOW, _REPLAY_PROBE_LINES // len(addrs))
+            for old in range(max(0, counter - window), counter):
                 old_fines = line_macs(mac_key, addrs, repeat(old), ciphertexts)
                 if macs_equal(nested_mac(mac_key, old_fines), stored):
                     raise ReplayError(

@@ -20,16 +20,35 @@ below it is never touched (pruned).  ``increment_counter`` /
 Attacker primitives (`tamper_*`, `snapshot_node`, `replay_node`) mutate
 the off-chip state directly, mirroring the paper's physical attacker.
 
-Node seals are deferred.  An update bumps the counters at once but only
-records which nodes changed; :meth:`CounterTree.seal` then computes each
-recorded node's MAC once, from its final payload and final freshness
-counter.  Outside a write scope every public call seals before it
-returns, so the state after each call is exactly what resealing on every
-update leaves.  Inside one (:attr:`CounterTree.defer_seals`, set for the
-length of one ``SecureMemory.write`` call) a node that many updates
-change is sealed once: when the scope ends, or first thing in any method
-that reads or replaces seals.  Changed nodes stay in the trusted on-chip
-cache until sealed, so nothing is ever checked against a stale seal.
+Node seals are deferred, and inside a write scope so are freshness
+climbs.  An update bumps the counters at once but only records which
+nodes changed; :meth:`CounterTree.seal` then computes each recorded
+node's MAC once, from its final payload and final freshness counter.
+Outside a write scope every public call seals before it returns, so the
+state after each call is exactly what resealing on every update leaves.
+
+Inside a scope (:attr:`CounterTree.defer_seals`, set for the length of
+one ``SecureMemory.write`` call) the tree is a write-back cache, as the
+paper's on-chip metadata cache is.  A node's first update in the scope
+climbs to the root, checked, bumping every freshness counter on the
+way, and leaves the node and its ancestors in the trusted on-chip
+cache.  Each later update of that node bumps only its trusted copy and
+adds one to the node's pending count.  So the trusted copies move
+first; the pending counts, the off-chip payload stores and the node
+MACs land at the seal, where each node's summed count climbs the
+freshness chain once, just before the MACs are computed.  Every reader
+of off-chip tree state triggers that seal first: the attacker
+primitives, ``set_counter``, ``prune_subtree`` and
+``drop_trust_cache``.  A read or update at a level above a pending
+count, whose slot may be that count's target, adds the counts first.
+Nothing is ever checked against a stale seal, and the state after the
+scope is the one climbing on every update leaves.
+
+A freshness counter at its 64-bit limit stops the update that would
+wrap it.  So an update skips its climb only while every freshness
+counter above the pending nodes has room for all pending counts
+(``_room``); otherwise the counts are added first and the update
+climbs, and raises exactly where climbing on every update raises.
 """
 
 from __future__ import annotations
@@ -83,8 +102,18 @@ class CounterTree:
         self._trusted: Dict[NodeId, List[int]] = {}
         # Nodes changed since their MAC was last computed, in the order
         # a reseal on every update would have sealed them (an ordered
-        # set, so ``_macs`` gains new keys in that same order).
+        # set, so ``_macs`` gains new keys in that same order).  A node
+        # in it has climbed, with its whole path, since the last seal.
         self._unsealed: Dict[NodeId, None] = {}
+        # Write-back state of a scope (module docstring): node -> updates
+        # not yet added up its freshness chain, their total, how many
+        # more every freshness counter above those nodes can take below
+        # the limit, and the lowest level holding a count (the root
+        # level when none does).
+        self._counts: Dict[NodeId, int] = {}
+        self._pending_bumps = 0
+        self._room = _COUNTER_LIMIT
+        self._low = geometry.root_level
         # The climb indexes the geometry's level tables directly;
         # nodes derived from a checked node are in range.
         self._root_level = geometry.root_level
@@ -105,6 +134,11 @@ class CounterTree:
         promoted counter of the ``64B * 8**l`` region (paper Eq. 2-3).
         """
         node, slot = self._counter_slot(addr, level)
+        if level > self._low:
+            self._apply_counts()
+        trusted = self._trusted.get((level, node))
+        if trusted is not None:
+            return trusted[slot]
         return self._verified_payload(level, node)[slot]
 
     def increment_counter(self, addr: int, level: int = 0) -> int:
@@ -113,10 +147,14 @@ class CounterTree:
         Bumps the target counter and the freshness counter of every
         node on the path to the root; the changed nodes are resealed
         bottom-up before the call returns, or when the write scope
-        ends (:attr:`defer_seals`).
+        ends (:attr:`defer_seals`).  In a scope, an update of a node
+        that has already climbed bumps its trusted copy only (module
+        docstring).
         """
         node, slot = self._counter_slot(addr, level)
         try:
+            if self._unsealed:
+                return self._bump_in_scope(level, node, slot)
             return self._bump(level, node, slot)
         finally:
             if not self.defer_seals:
@@ -164,8 +202,10 @@ class CounterTree:
 
         Each node is sealed from its current payload under its current
         freshness counter in the parent -- the MAC the last of its
-        updates would have written.
+        updates would have written.  Pending counts are added first.
         """
+        if self._counts:
+            self._apply_counts()
         unsealed = self._unsealed
         if not unsealed:
             return
@@ -451,6 +491,106 @@ class CounterTree:
                 trusted[parent] = list(bumped)
             unsealed[key] = None
             key = parent
+
+    def _bump_in_scope(self, level: int, node: int, slot: int) -> int:
+        """:meth:`_bump` once something has climbed since the last seal."""
+        if level > self._low:
+            self._apply_counts()
+        if (level, node) in self._unsealed:
+            value = self._write_back(level, node, slot)
+            if value is not None:
+                return value
+        value = self._bump(level, node, slot)
+        if self._pending_bumps:
+            # The climb raised each freshness counter above the pending
+            # nodes by one at most.
+            self._room -= 1
+            if self._pending_bumps > self._room:
+                self._apply_counts()
+        return value
+
+    def _write_back(self, level: int, node: int, slot: int) -> Optional[int]:
+        """Bump a counter of a node that has climbed since the last seal.
+
+        Only the node's trusted copy moves; its pending count records
+        the climb owed.  Returns the new value, or ``None`` when the
+        update must climb: the counter is at its limit (:meth:`_bump`
+        raises), or the pending counts would leave no room below the
+        freshness limit (they are added first).
+        """
+        key = (level, node)
+        payload = self._trusted[key]
+        if payload[slot] >= self.counter_limit:
+            return None
+        counts = self._counts
+        count = counts.get(key)
+        if count is None:
+            room = self._chain_room(level, node)
+            if room < self._room:
+                self._room = room
+        if self._pending_bumps >= self._room:
+            self._apply_counts()
+            return None
+        if count is None:
+            count = 0
+            if level < self._low:
+                self._low = level
+        counts[key] = count + 1
+        self._pending_bumps += 1
+        payload[slot] += 1
+        return payload[slot]
+
+    def _chain_room(self, level: int, node: int) -> int:
+        """Updates every freshness counter above a node can take below
+        the limit, from the trusted copies on its path."""
+        arity = self._arity
+        root_level = self._root_level
+        trusted = self._trusted
+        top = 0
+        while level + 1 < root_level:
+            parent = node // arity
+            value = trusted[(level + 1, parent)][node % arity]
+            if value > top:
+                top = value
+            level += 1
+            node = parent
+        return _COUNTER_LIMIT - 1 - max(top, self._root[node % arity])
+
+    def _apply_counts(self) -> None:
+        """Add the pending counts up their freshness chains.
+
+        Bottom-up, one level at a time, so a node climbs once with the
+        sum of its own count and its descendants'.  Every node whose
+        counters moved has its trusted copy stored off-chip; the seals
+        stay recorded in ``_unsealed`` as the nodes' climbs left them.
+        """
+        counts = self._counts
+        if counts:
+            arity = self._arity
+            root_level = self._root_level
+            trusted = self._trusted
+            payloads = self._payloads
+            levels: List[Dict[int, int]] = [{} for _ in range(root_level)]
+            for (level, node), count in counts.items():
+                levels[level][node] = count
+            for level in range(self._low, root_level):
+                nodes = levels[level]
+                if level + 1 == root_level:
+                    root = self._root
+                    for node, count in nodes.items():
+                        root[node % arity] += count
+                else:
+                    above = levels[level + 1]
+                    for node, count in nodes.items():
+                        parent = node // arity
+                        trusted[(level + 1, parent)][node % arity] += count
+                        above[parent] = above.get(parent, 0) + count
+                for node in nodes:
+                    payloads[(level, node)] = list(trusted[(level, node)])
+            counts.clear()
+        self._pending_bumps = 0
+        self._room = _COUNTER_LIMIT
+        self._low = self._root_level
 
     def _bump(self, level: int, node: int, slot: int) -> int:
         payload = list(self._verified_payload(level, node))

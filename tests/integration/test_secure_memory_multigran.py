@@ -61,11 +61,12 @@ def crypto_kernels():
 
 
 def nothing_deferred(memory):
-    """No tree node waits for its seal, no coarse region is open and no
-    written line is pending."""
+    """No tree node waits for its seal or its freshness climb, no coarse
+    region is open and no written line is pending."""
     return (
         memory._run is None
         and not memory.tree._unsealed
+        and not memory.tree._counts
         and not memory._pending
     )
 
@@ -173,6 +174,24 @@ class TestReadPath:
             "compute_mac": 512, "nested_mac": 1, "generate_otp": 512,
         }
 
+    @pytest.mark.parametrize("granularity, window", [(4096, 64), (CHUNK_BYTES, 8)])
+    def test_failed_region_read_probes_within_a_line_budget(
+        self, memory, calls, granularity, window
+    ):
+        memory.force_granularity(0, granularity)
+        for _ in range(2):  # the shared counter passes every window
+            memory.write(0, CHUNK_DATA[:granularity])
+        assert memory.counter_value(0) > 64
+        memory.tamper_data(64 * 5)
+        calls.clear()
+        with pytest.raises(IntegrityError):
+            memory.read(0, 64)
+        # One verify, then the replay probe: at most 4096 line MACs,
+        # so 64 older counters for a 4 KB region and 8 for 32 KB.
+        lines = granularity // 64
+        assert calls["compute_mac"] == lines * (1 + window)
+        assert calls["nested_mac"] == 1 + window
+
     def test_tamper_between_two_reads_caught_by_the_second(self, memory):
         stream_chunk(memory)
         assert memory.read(0, 64) == CHUNK_DATA[:64]
@@ -248,6 +267,21 @@ class TestWritePath:
         assert calls["generate_otp"] == calls["compute_mac"] == 512
         assert calls["nested_mac"] == 0
         assert nothing_deferred(memory)
+        assert memory.read(0, CHUNK_BYTES) == CHUNK_DATA
+
+    def test_fixed_chunk_put_climbs_once_per_leaf_node(self, keys, monkeypatch):
+        from repro.tree.integrity_tree import CounterTree
+
+        memory = SecureMemory(REGION, keys=keys, policy="fixed")
+        calls = count_calls(
+            monkeypatch, {"increment_counter": CounterTree, "_commit": CounterTree}
+        )
+        memory.write(0, CHUNK_DATA)
+        # One update per line, but one climb per leaf node: the other
+        # 7 updates of each leaf write back and climb once, at seal.
+        assert calls == {"increment_counter": 512, "_commit": 64}
+        assert nothing_deferred(memory)
+        memory.tree.drop_trust_cache()
         assert memory.read(0, CHUNK_BYTES) == CHUNK_DATA
 
     def test_overflow_in_the_handed_off_region_seals_it_first(self, keys):

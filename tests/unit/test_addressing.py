@@ -139,6 +139,28 @@ class TestMacAddresses:
         assert len(lines) == 64  # 512 MACs / 8 per line
 
 
+class TestBatchedMacIndices:
+    """The one-lookup form multi-line writes seal through matches the
+    naive oracle at every line of a chunk."""
+
+    @pytest.mark.parametrize("bits", [stream_part.FULL_MASK, 0])
+    def test_every_line_matches_the_oracle(self, bits):
+        from repro.check import oracle as ref
+
+        base = 3 * CHUNK_BYTES
+        addrs = range(base, base + CHUNK_BYTES, 64)
+        assert addressing.mac_indices_in_chunk(bits, addrs) == [
+            ref.ref_mac_index(bits, addr) for addr in addrs
+        ]
+
+    def test_mac_addrs_matches_mac_addr(self, geometry):
+        bits = 0xFF03  # a 4 KB group and two 512 B partitions
+        addrs = list(range(CHUNK_BYTES, 2 * CHUNK_BYTES, 64))
+        assert addressing.mac_addrs(geometry, bits, addrs) == [
+            addressing.mac_addr(geometry, bits, addr) for addr in addrs
+        ]
+
+
 class TestFineLines:
     def test_fine_lines_of_region(self):
         lines = addressing.fine_lines_of_region(512 + 64, 512)

@@ -80,6 +80,43 @@ class TestFreshnessChain:
         assert tree.verifications > before
 
 
+class TestWriteBackScope:
+    """Inside a write scope a node climbs once; later updates of it move
+    its trusted copy and a pending count, added up the chain at seal."""
+
+    def test_repeated_updates_climb_once(self, tree, monkeypatch):
+        climbs = []
+        commit = CounterTree._commit
+
+        def counted_commit(self, *args, **kwargs):
+            climbs.append(args)
+            return commit(self, *args, **kwargs)
+
+        monkeypatch.setattr(CounterTree, "_commit", counted_commit)
+        tree.defer_seals = True
+        values = [tree.increment_counter(off) for off in range(0, 512, 64)]
+        assert values == [1] * 8
+        assert len(climbs) == 1 and tree._counts == {(0, 0): 7}
+        tree.defer_seals = False
+        tree.seal()
+        assert not tree._counts
+        # The leaf changed 8 times, so its freshness counter moved 8.
+        assert tree.read_counter(0, level=1) == 8
+        tree.drop_trust_cache()
+        assert [tree.read_counter(off) for off in range(0, 512, 64)] == [1] * 8
+
+    def test_reads_above_level_0_see_pending_counts(self, tree):
+        tree.defer_seals = True
+        for _ in range(3):
+            tree.increment_counter(0)
+        assert tree.read_counter(0) == 3  # the trusted leaf, no climb
+        assert tree._counts
+        assert tree.read_counter(0, level=1) == 3
+        assert not tree._counts
+        tree.defer_seals = False
+        tree.seal()
+
+
 class TestTamperDetection:
     def test_tampered_counter_detected(self, tree):
         tree.increment_counter(0)
