@@ -128,6 +128,9 @@ class DifferentialHarness:
         self._index = 0
         #: Fast mode: deferred layout observables, one tuple per op.
         self._pending: List[tuple] = []
+        #: Bitmap -> the oracle's region walk of a chunk under it (a
+        #: pure function of the bitmap, walked once per bitmap).
+        self._spans: Dict[int, list] = {}
 
     # -- replay ---------------------------------------------------------
 
@@ -149,9 +152,7 @@ class DifferentialHarness:
             self.records.append({"i": index, "op": "advance", "cycles": op.cycles})
             return
         if op.kind == "write":
-            version = self._write_versions.get(op.addr, 0)
-            self._write_versions[op.addr] = version + 1
-            payload = _payload(self.seed, op.addr, version)
+            payload = self._next_payload(op.addr)
             self.engine.write(op.addr, payload)
             self.oracle.write(op.addr, payload)
             engine_data = oracle_data = payload
@@ -161,6 +162,29 @@ class DifferentialHarness:
         else:
             raise ValueError(f"unknown op kind {op.kind!r}")
         self._observe(index, op, engine_data, oracle_data)
+
+    def write_run(self, ops: Sequence[Op]) -> None:
+        """Write ops to ascending adjacent lines as one engine ``write``.
+
+        The oracle applies the same lines one at a time; then every
+        observable of every written line is diffed, as :meth:`replay`
+        diffs it after a one-line write.
+        """
+        self._flush_window()
+        first = self._index
+        self._index += len(ops)
+        payloads = [self._next_payload(op.addr) for op in ops]
+        self.engine.write(ops[0].addr, b"".join(payloads))
+        for op, payload in zip(ops, payloads):
+            self.oracle.write(op.addr, payload)
+        for index, (op, payload) in enumerate(zip(ops, payloads), first):
+            self._observe(index, op, payload, payload)
+        self._flush_window()
+
+    def _next_payload(self, addr: int) -> bytes:
+        version = self._write_versions.get(addr, 0)
+        self._write_versions[addr] = version + 1
+        return _payload(self.seed, addr, version)
 
     # -- per-op observation + diff --------------------------------------
 
@@ -199,8 +223,10 @@ class DifferentialHarness:
 
         # Eq. 1 / Fig. 9: the oracle's literal region walk.  One walk
         # serves index, address and per-chunk count.
-        max_g = self.engine.table.max_granularity
-        spans = ref.ref_region_spans(current, max_g)
+        spans = self._spans.get(current)
+        if spans is None:
+            max_g = self.engine.table.max_granularity
+            spans = self._spans[current] = ref.ref_region_spans(current, max_g)
         offset = addr % CHUNK_BYTES
         ref_index = next(
             i for i, (off, g) in enumerate(spans) if off <= offset < off + g

@@ -17,6 +17,12 @@ cannot change functional state:
   keeps no hidden per-call state.
 * **read idempotence** -- reading the same line repeatedly returns the
   same plaintext and never changes stored data.
+* **coalesced writes** -- each maximal run of consecutive write ops to
+  ascending adjacent lines goes to the engine as one multi-line
+  ``write`` call while the oracle applies its lines one at a time:
+  after each call every observable of every written line must agree
+  with the oracle and every line must read back, and the end state
+  must be the one a replay of one line per call leaves.
 """
 
 from __future__ import annotations
@@ -24,8 +30,10 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Sequence, Tuple
 
-from repro.check.differential import DifferentialHarness
+from repro.check.differential import DifferentialHarness, DivergenceError
 from repro.check.streams import Op, StreamSpec, generate_stream, touched_addrs
+from repro.common.constants import CACHELINE_BYTES
+from repro.common.errors import SecurityError
 
 
 class MetamorphicError(AssertionError):
@@ -132,3 +140,52 @@ def check_read_idempotence(spec: StreamSpec, samples: int = 16) -> Dict[str, obj
         "stream": spec.name,
         "samples": min(samples, len(addrs)),
     }
+
+
+def _write_calls(ops: Sequence[Op]) -> List[List[Op]]:
+    """Split ``ops`` into calls: each maximal run of consecutive writes
+    to ascending adjacent lines is one call, every other op its own."""
+    calls: List[List[Op]] = []
+    for op in ops:
+        last = calls[-1][-1] if calls else None
+        if (
+            op.kind == "write"
+            and last is not None
+            and last.kind == "write"
+            and op.addr == last.addr + CACHELINE_BYTES
+        ):
+            calls[-1].append(op)
+        else:
+            calls.append([op])
+    return calls
+
+
+def check_coalesced_writes(spec: StreamSpec) -> Dict[str, object]:
+    """Coalescing adjacent writes into one ``write`` call is invisible.
+
+    Every multi-line call is followed by a read of each of its lines on
+    both replays, so the read-backs are part of the compared history.
+    """
+    coalesced = DifferentialHarness(spec.region_bytes, seed=spec.seed)
+    one_line = DifferentialHarness(spec.region_bytes, seed=spec.seed)
+    merged = 0
+    for call in _write_calls(generate_stream(spec)):
+        read_back = [Op("read", op.addr) for op in call] if len(call) > 1 else []
+        try:
+            if read_back:
+                coalesced.write_run(call)
+                merged += 1
+            else:
+                coalesced.replay(call)
+            coalesced.replay(read_back)
+        except (DivergenceError, SecurityError) as exc:
+            raise MetamorphicError(
+                f"coalesced writes of stream {spec.name!r}, call of "
+                f"{len(call)} line(s) at 0x{call[0].addr:x}: {exc}"
+            ) from exc
+        one_line.replay(call + read_back)
+    if coalesced.fingerprint() != one_line.fingerprint():
+        raise MetamorphicError(
+            f"coalesced writes changed the end state of stream {spec.name!r}"
+        )
+    return {"relation": "coalesced-writes", "stream": spec.name, "calls": merged}

@@ -9,8 +9,8 @@ Sections, in order:
    region sizes.
 2. **differential** -- lock-step engine-vs-oracle replay of the tier's
    seeded streams (:mod:`repro.check.differential`).
-3. **metamorphic** -- permutation / split-resume / read-idempotence
-   relations (:mod:`repro.check.metamorphic`).
+3. **metamorphic** -- permutation / split-resume / read-idempotence /
+   coalesced-writes relations (:mod:`repro.check.metamorphic`).
 4. **golden**      -- replay digests must match the committed corpus
    under ``tests/golden/`` (:mod:`repro.check.golden`).
 5. **timing**      -- scheme-level metadata-address invariants
@@ -423,9 +423,12 @@ def run_check(
         for spec in split_specs:
             metamorphic.check_split_resume(spec)
         metamorphic.check_read_idempotence(specs[0])
+        coalesced = [metamorphic.check_coalesced_writes(spec) for spec in specs]
+        calls = sum(result["calls"] for result in coalesced)
         return (
             f"permutation x{len(permute)}, split-resume x{len(split_specs)}, "
-            "read-idempotence x1"
+            f"read-idempotence x1, coalesced-writes x{len(specs)} "
+            f"({calls} multi-line calls)"
         )
 
     _run_section(report, "metamorphic", run_metamorphic, echo)

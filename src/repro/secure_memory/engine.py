@@ -46,37 +46,30 @@ primitives start from cached pre-keyed hash states
 (:func:`repro.crypto.keys.keyed_blake2b`), which are on-chip key
 material like the :class:`KeySet` itself.
 
-Write-path invariant: one :meth:`SecureMemory.write` call defers three
-kinds of sealing to points inside the same call.  The counter tree is a
-write-back cache for the call: a node updated many times climbs its
-freshness chain once at its first update and once more, with its summed
-count, when it is sealed (:attr:`CounterTree.defer_seals`).  Consecutive
-lines that land in one coarse region (same base, granularity and current
-bitmap, no switch between them) form a *run*: the region is opened
-(verified + decrypted against its current off-chip bytes) at the run's
-first line, its shared counter is still incremented once per line, and
-its lines are encrypted and its merged MAC stored once, when the run
-ends -- at the next region, before a switch, first thing in the overflow
-and integrity handlers, and when the call returns or raises.  And a line
-that a call of more than one line writes at 64B is *pending*: its
-counter is bumped at once, but the bumped counter and the plaintext wait
-on-chip, as trusted state that dies with the call, and the call's
-pending lines are encrypted and MACed in one batched pass -- when the
-call moves to another chunk, when it returns or raises, first thing in
-the overflow and integrity handlers and in chunk re-encryption, and at
-the start of a switch, under the switch's old bitmap, for the lines
-outside its span.  A scale-up switch that a write triggers takes the
-pending plaintexts of its span directly and starts the run itself, from
-them and the plaintexts it has just verified against the span's current
-off-chip bytes, instead of sealing the new region for the triggering
-line to open it again; any other switch first seals every pending line,
-and a switch that raises seals what is left pending under the old bitmap
-before a retry or the failure handler.  Nothing reads a pending line
-from off-chip, with one exception: when a transient glitch is staged on
-a line a switch takes, the switch seals that line first and reads it
-back, so the glitch is consumed and checked exactly as when every line
-is sealed as it is written.  Nothing deferred outlives the call: a
-write's first touch of a region always verifies it, a tamper staged
+Write-path invariant: one :meth:`SecureMemory.write` call seals through
+a per-call buffer of protection regions, on-chip trusted state that dies
+with the call.  A 64B line is a one-line region.  Each entry, keyed by
+region base, holds the region's granularity, latest counter and
+plaintexts; a region's counter is bumped for every line as it is
+written, a coarse region is opened (verified + decrypted against its
+current off-chip bytes) by the first line the call writes in it, and a
+region enters the buffer only once its first bump has succeeded.  One
+function seals buffered regions, in one batch per flush, with their MACs
+at their addresses under the bitmap the flush is given.  The buffer
+holds one chunk and is flushed when the call moves to another chunk, at
+the start of a switch and after a failed switch attempt (under the
+switch's old bitmap), on entry to the overflow handler, and when the
+call returns or raises.  A scale-up that a write triggers takes the
+buffered regions of its span instead of opening them, so the start
+flush leaves those in place, and the switch leaves one promoted region
+in the buffer for the write's line to join.  Nothing reads a buffered
+region from off-chip, with one exception: when a transient glitch is
+staged on a buffered 64B line that a switch takes, the line is sealed
+and read back, so the glitch is met exactly as when every line is
+sealed as it is written (opening a coarse region has already read its
+lines).  The counter tree is a write-back cache for the same call
+(:attr:`CounterTree.defer_seals`).  Nothing buffered outlives the call:
+a write's first touch of a region always verifies it, a tamper staged
 between two writes is caught by the second, and the state after each
 call is the one resealing every line leaves.
 
@@ -87,7 +80,7 @@ only counts.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.address import align_down, check_range, chunk_base, chunk_index, iter_lines
 from repro.common.constants import (
@@ -126,24 +119,6 @@ _REPLAY_PROBE_WINDOW = 64
 #: counters for a 512 B or 4 KB region, 8 for a 32 KB one.
 _REPLAY_PROBE_LINES = 64 * 64
 _ZERO_LINE = bytes(CACHELINE_BYTES)
-
-
-class _OpenRun:
-    """A coarse region one ``write`` call has opened and not yet sealed."""
-
-    __slots__ = ("key", "counter", "plaintexts")
-
-    def __init__(
-        self,
-        base: int,
-        granularity: int,
-        bits: int,
-        counter: int,
-        plaintexts: List[bytes],
-    ) -> None:
-        self.key = (base, granularity, bits)
-        self.counter = counter
-        self.plaintexts = plaintexts
 
 
 class SecureMemory:
@@ -197,14 +172,9 @@ class SecureMemory:
         # by a fresh write ("heal") or permanently ("hard").
         self._quarantined: Dict[int, str] = {}
         self._quarantine_masks: Dict[int, int] = {}
-        # The coarse region a ``write`` call has opened and not sealed.
-        self._run: Optional[_OpenRun] = None
-        # Line -> (bumped counter, plaintext) of the 64B lines the
-        # running ``write`` call has not sealed yet, all in one chunk
-        # (module docstring).  A one-line call has nothing to batch: it
-        # seals its line as it writes it (``_defer_lines`` is False).
-        self._pending: Dict[int, Tuple[int, bytes]] = {}
-        self._defer_lines = False
+        # The running ``write`` call's buffer (module docstring): region
+        # base -> [granularity, latest counter, plaintexts], one chunk.
+        self._buffer: Dict[int, list] = {}
         self.cycle = 0
         self.reads = 0
         self.writes = 0
@@ -217,28 +187,26 @@ class SecureMemory:
     def write(self, addr: int, data: bytes) -> None:
         """Encrypt and store ``data`` at 64B-aligned ``addr``.
 
-        Tree-node, coarse-region and 64B-line seals wait for points
-        inside the call (see the module docstring); none outlives it.
+        Region and tree-node seals wait in the call's buffer for the
+        flush points the module docstring lists; none outlives the call.
         """
         self._check_aligned_access(addr, len(data))
         tree = self.tree
-        pending = self._pending
-        self._defer_lines = len(data) > CACHELINE_BYTES
+        buffer = self._buffer
         tree.defer_seals = True
         try:
             for line_index in iter_lines(addr, len(data)):
                 line_addr = line_index * CACHELINE_BYTES
-                if pending and not line_addr % CHUNK_BYTES:
-                    self._seal_pending()  # pending lines share one chunk
+                if buffer and not line_addr % CHUNK_BYTES:
+                    self._flush()  # the buffer holds one chunk
                 offset = line_addr - addr
                 payload = data[offset : offset + CACHELINE_BYTES]
                 self._write_line(line_addr, payload)
                 self.writes += 1
         finally:
             tree.defer_seals = False
-            if pending:
-                self._seal_pending()
-            self._close_run()
+            if buffer:
+                self._flush()
             tree.seal()
 
     def read(self, addr: int, size: int) -> bytes:
@@ -368,8 +336,6 @@ class SecureMemory:
     # ------------------------------------------------------------------
 
     def _write_line(self, line_addr: int, payload: bytes) -> None:
-        if len(payload) != CACHELINE_BYTES:
-            payload = payload.ljust(CACHELINE_BYTES, b"\0")
         state = self._quarantined.get(line_addr)
         if state == "hard":
             self.events.bump("quarantined_line_writes")
@@ -383,8 +349,7 @@ class SecureMemory:
         try:
             self._write_line_at(line_addr, payload, granularity)
         except CounterOverflowError:
-            self._close_run()
-            self._seal_pending()
+            self._flush()
             level = granularity_level(granularity)
             region_base = align_down(line_addr, granularity)
             if self.tree.read_counter(region_base, level) < self.tree.counter_limit:
@@ -410,60 +375,44 @@ class SecureMemory:
                 self._restart_unsealed_counters(line_addr, chunk_b)
             self._write_line_at(line_addr, payload, granularity)
         except (IntegrityError, ReplayError) as exc:
-            self._close_run()
-            self._seal_pending()
             self._handle_write_failure(line_addr, payload, granularity, exc)
 
     def _write_line_at(
         self, line_addr: int, payload: bytes, granularity: int
     ) -> None:
-        if granularity == GRANULARITIES[0]:
-            self._close_run()
-            counter = self.tree.increment_counter(line_addr, level=0)
-            if self._defer_lines:
-                self._pending[line_addr] = (counter, payload)
-            else:
-                self._seal_line(
-                    line_addr, counter, payload, self._current_bits(line_addr)
-                )
-            return
-        self._write_line_coarse(line_addr, payload, granularity)
+        """Write one line into its region's entry in the call's buffer.
 
-    def _write_line_coarse(
-        self, line_addr: int, payload: bytes, granularity: int
-    ) -> None:
-        """Write one line of a coarse region (shared counter + merged MAC).
-
-        The shared counter advances, so every line of the region is
-        re-encrypted under the new value -- this is precisely the cost
-        the dynamic detector exists to avoid on mispredicted regions.
-        Within one ``write`` call the region stays open across a run of
-        its lines and is sealed once, when the run ends (module
-        docstring); the counter still advances once per line.
+        A coarse region's shared counter advances with every line, so
+        every line of the region is re-encrypted under the new value --
+        precisely the cost the dynamic detector exists to avoid on
+        mispredicted regions.  A region the call has not buffered yet is
+        opened first (a 64B line has nothing to open), and enters the
+        buffer once its first bump has succeeded.
         """
-        level = granularity_level(granularity)
-        region_base = align_down(line_addr, granularity)
-        bits = self._current_bits(line_addr)
-        index = (line_addr - region_base) // CACHELINE_BYTES
-        run = self._run
-        if run is not None and run.key == (region_base, granularity, bits):
-            run.counter = self.tree.increment_counter(region_base, level=level)
-            run.plaintexts[index] = payload
+        buffer = self._buffer
+        tree = self.tree
+        if granularity == CACHELINE_BYTES:
+            # A call writes each line once, so this one is not buffered.
+            buffer[line_addr] = [
+                granularity, tree.increment_counter(line_addr, 0), [payload]
+            ]
             return
-        self._close_run()
-        old_counter = self.tree.read_counter(region_base, level=level)
-        plaintexts = self._open_region(region_base, granularity, old_counter, bits)
-        plaintexts[index] = payload
-        counter = self.tree.increment_counter(region_base, level=level)
-        self._run = _OpenRun(region_base, granularity, bits, counter, plaintexts)
-
-    def _close_run(self) -> None:
-        """Seal the open coarse region, if any, under its latest counter."""
-        run = self._run
-        if run is not None:
-            self._run = None
-            base, granularity, bits = run.key
-            self._seal_region(base, granularity, run.counter, run.plaintexts, bits)
+        base = align_down(line_addr, granularity)
+        level = granularity_level(granularity)
+        index = (line_addr - base) // CACHELINE_BYTES
+        entry = buffer.get(base)
+        if entry is None:
+            plaintexts = self._open_region(
+                base, granularity, tree.read_counter(base, level),
+                self._current_bits(base),
+            )
+            plaintexts[index] = payload
+            buffer[base] = [
+                granularity, tree.increment_counter(base, level), plaintexts
+            ]
+        else:
+            entry[1] = tree.increment_counter(base, level)
+            entry[2][index] = payload
 
     def _read_line(self, line_addr: int, verified: dict) -> bytes:
         if line_addr in self._quarantined:
@@ -702,20 +651,10 @@ class SecureMemory:
         and the overflowing write retries.  Quarantined lines are not
         carried -- they stay quarantined.  ``skip_base/skip_size``
         exclude a span the caller re-seals itself (mid-switch
-        overflow).  Lines the running write left pending are sealed
-        first, under the old epoch's keys.
+        overflow).
         """
         if bits is None:
             bits = self._current_bits(chunk_b)
-        # Only a write-triggered scale-up's span can still hold pending
-        # lines here (the overflow handler seals them before it calls):
-        # ``skip_base`` covers that span and the switch reseals it.
-        # Sealing them now, under the old epoch, is what sealing each
-        # line as it is written leaves if the switch's pass 2 then fails.
-        # No test reaches that case: a scale-up's pass 2 only touches
-        # tree nodes its pass 1 verified, so it cannot fail.  The flush
-        # keeps the re-key's result from resting on that argument.
-        self._seal_pending(bits)
         limit = min(CHUNK_BYTES, self.geometry.region_bytes - chunk_b)
         sealed = []
         for sub, sub_g in self._iter_subregions(chunk_b, limit, bits):
@@ -731,7 +670,7 @@ class SecureMemory:
                 continue  # pristine, nothing sealed to carry over
             counter = self.tree.read_counter(sub, level=granularity_level(sub_g))
             sealed.append(
-                (sub, sub_g, self._open_region(sub, sub_g, counter, bits))
+                (sub, [sub_g, 1, self._open_region(sub, sub_g, counter, bits)])
             )
         chunk = chunk_index(chunk_b)
         self._key_epochs[chunk] = self._key_epochs.get(chunk, 0) + 1
@@ -744,9 +683,9 @@ class SecureMemory:
                 epoch=self._key_epochs[chunk],
                 carried_regions=len(sealed),
             )
-        for sub, sub_g, plaintexts in sealed:
-            self.tree.set_counter(sub, granularity_level(sub_g), 1)
-            self._seal_region(sub, sub_g, 1, plaintexts, bits)
+        for sub, entry in sealed:
+            self.tree.set_counter(sub, granularity_level(entry[0]), 1)
+            self._seal({sub: entry}, bits)
         self.events.bump("chunk_reencryptions")
 
     def _restart_unsealed_counters(self, line_addr: int, chunk_b: int) -> None:
@@ -843,16 +782,15 @@ class SecureMemory:
         verification pass (transient glitches); a failure during the
         re-seal pass leaves the span fail-closed via quarantine.
         """
-        self._close_run()  # the switch re-opens the span from off-chip
         try:
             try:
                 self._apply_switch_functional(event)
-            finally:
-                # A failed attempt hands nothing to the write's run: the
-                # lines still pending are sealed where the write put
-                # them, before a retry or the failure handler opens them.
-                # After a success nothing is pending.
-                self._seal_pending(event.old_bits)
+            except BaseException:
+                # A failed attempt hands nothing over: what is still
+                # buffered is sealed where the write put it, before a
+                # retry or the failure handler opens it.
+                self._flush(event.old_bits)
+                raise
             return
         except (IntegrityError, ReplayError) as exc:
             self.events.bump("switch_failures")
@@ -939,27 +877,26 @@ class SecureMemory:
         old-bitmap addresses to the new ones.
 
         A scale-up triggered by a write does not seal its one new
-        region: the triggering line lands in it, so the switch hands it
-        over as the write's open run (module docstring), to be sealed
-        once when that run ends.  It takes the lines of the span that
-        the write left pending from the call, not from off-chip; every
-        other pending line is sealed first, under the old bitmap.
+        region: the triggering line lands in it, so the switch leaves it
+        in the write's buffer (module docstring).  It takes the span's
+        buffered regions from the call, not from off-chip; every other
+        buffered region is sealed first, under the old bitmap.
         """
         span = max(event.old_granularity, event.new_granularity)
         span_base = align_down(event.addr, span)
         hand_off = event.is_write and event.scale_up
-        self._seal_pending(event.old_bits, keep=(span_base, span) if hand_off else None)
+        self._flush(event.old_bits, keep=(span_base, span) if hand_off else None)
         old_layout = list(self._iter_subregions(span_base, span, event.old_bits))
 
         # Pass 1: open every sub-region under its old seal, or take a
-        # pending line's plaintext from the call.
+        # buffered region's plaintexts from the call.
         plaintexts: List[bytes] = []
         max_counter = 0
-        pending = self._pending
+        buffer = self._buffer
         for sub, sub_g in old_layout:
             counter = self.tree.read_counter(sub, level=granularity_level(sub_g))
-            if sub in pending:  # a 64B line, as every pending line is
-                plaintexts.append(self._take_pending(sub, event.old_bits))
+            if sub in buffer:
+                plaintexts.extend(self._take(sub, event.old_bits))
             else:
                 plaintexts.extend(
                     self._open_region(sub, sub_g, counter, event.old_bits)
@@ -1019,7 +956,7 @@ class SecureMemory:
                     lines = plaintexts[
                         first_line : first_line + sub_g // CACHELINE_BYTES
                     ]
-                    self._seal_region(sub, sub_g, shared, lines, event.new_bits)
+                    self._seal({sub: [sub_g, shared, lines]}, event.new_bits)
                 fresh_macs.add(
                     addressing.mac_addr(self.geometry, event.new_bits, sub)
                 )
@@ -1036,14 +973,10 @@ class SecureMemory:
 
         self._reinsert_macs(outside, event.new_bits)
         if hand_off:
-            # Last, so a failed attempt never leaves a run open.  If the
-            # write's line does not join it, ``_close_run`` seals it
-            # exactly as the loop above would have.  The span's pending
-            # lines, all that is left pending, ride in it.
-            pending.clear()
-            self._run = _OpenRun(
-                span_base, span, event.new_bits, shared, plaintexts
-            )
+            # Last, so a failed attempt hands nothing over.  The span's
+            # buffered regions, all that is left buffered, ride in it.
+            buffer.clear()
+            buffer[span_base] = [span, shared, plaintexts]
 
     # ------------------------------------------------------------------
     # Chunk-wide MAC relocation helpers
@@ -1096,34 +1029,10 @@ class SecureMemory:
     # Seal / open helpers (the only code that touches MACs + ciphertext)
     # ------------------------------------------------------------------
 
-    def _seal_line(
-        self, line_addr: int, counter: int, payload: bytes, bits: int
-    ) -> bytes:
-        """Encrypt and MAC one fine-grained line; return its ciphertext."""
+    def _open_line(self, line_addr: int, counter: int, bits: int) -> bytes:
+        """Verify and decrypt one fine-grained line."""
         keys = self._keys_for(line_addr)
-        ciphertext = encrypt_line(keys.encryption_key, line_addr, counter, payload)
-        self.dram.write_line(line_addr, ciphertext)
-        mac_addr = addressing.mac_addr(self.geometry, bits, line_addr)
-        self._macs[mac_addr] = compute_mac(
-            keys.mac_key, line_addr, counter, ciphertext
-        )
-        return ciphertext
-
-    def _open_line(
-        self,
-        line_addr: int,
-        counter: int,
-        bits: int,
-        ciphertext: Optional[bytes] = None,
-    ) -> bytes:
-        """Verify and decrypt one fine-grained line.
-
-        ``ciphertext`` is the line's off-chip bytes when the caller has
-        already read them; otherwise they are read here.
-        """
-        keys = self._keys_for(line_addr)
-        if ciphertext is None:
-            ciphertext = self.dram.read_line(line_addr)
+        ciphertext = self.dram.read_line(line_addr)
         stored = self._macs.get(addressing.mac_addr(self.geometry, bits, line_addr))
         if stored is None:
             if ciphertext == _ZERO_LINE and counter == 0:
@@ -1134,94 +1043,91 @@ class SecureMemory:
             self._raise_classified(line_addr, counter, ciphertext, stored)
         return decrypt_line(keys.encryption_key, line_addr, counter, ciphertext)
 
-    def _seal_pending(
-        self,
-        bits: Optional[int] = None,
-        keep: Optional[Tuple[int, int]] = None,
+    def _flush(
+        self, bits: Optional[int] = None, keep: Optional[Tuple[int, int]] = None
     ) -> None:
-        """Seal the lines the running ``write`` left pending, in one pass.
+        """Seal the call's buffered regions, except those in span ``keep``.
 
-        Their MACs are stored at their addresses under ``bits`` (default:
-        their chunk's current bitmap).  Lines inside the span ``keep``
-        (base, size) stay pending.
+        ``keep`` is (base, size); ``bits`` is as for :meth:`_seal`.
         """
-        pending = self._pending
-        if keep is None:
-            items = list(pending.items())
-            pending.clear()
-        else:
+        regions = self._buffer
+        if keep is not None:
             base, size = keep
-            outside = [addr for addr in pending if not base <= addr < base + size]
-            items = [(addr, pending.pop(addr)) for addr in outside]
-        if not items:
-            return
-        addrs, entries = zip(*items)
-        counters, payloads = zip(*entries)
-        if bits is None:
-            bits = self._current_bits(addrs[0])
-        fine_macs = self._seal_lines(
-            self._keys_for(addrs[0]), addrs, counters, payloads
-        )
-        macs = self._macs
-        for mac_addr, mac in zip(
-            addressing.mac_addrs(self.geometry, bits, addrs), fine_macs
-        ):
-            macs[mac_addr] = mac
+            outside = [b for b in regions if not base <= b < base + size]
+            regions = {b: regions.pop(b) for b in outside}
+        if regions:
+            self._seal(regions, bits)
+            regions.clear()
 
-    def _take_pending(self, line_addr: int, bits: int) -> bytes:
-        """Plaintext of a pending line, for a switch's first pass.
+    def _take(self, base: int, bits: int) -> List[bytes]:
+        """Plaintexts of a buffered region, for a switch's first pass.
 
-        The line's off-chip bytes are stale, so they are not read --
-        unless a transient glitch is staged on it.  Then the line is
-        sealed first and read back, so the glitch is consumed and
-        checked exactly as when the line was sealed as it was written:
-        bytes other than the sealed ones are verified (and fail).
+        The region's off-chip bytes are stale, so they are not read --
+        unless a transient glitch is staged on a buffered 64B line.
+        Then the line is sealed and read back, so the glitch is met
+        exactly as when the line was sealed as it was written: bytes
+        other than the sealed ones are verified (and fail).
         """
-        counter, plaintext = self._pending[line_addr]
-        if not self.dram.has_transient(line_addr):
-            return plaintext
-        del self._pending[line_addr]
-        sealed = self._seal_line(line_addr, counter, plaintext, bits)
-        ciphertext = self.dram.read_line(line_addr)
-        if ciphertext == sealed:
-            return plaintext
-        return self._open_line(line_addr, counter, bits, ciphertext)
+        entry = self._buffer[base]
+        if entry[0] != CACHELINE_BYTES or not self.dram.has_transient(base):
+            return entry[2]
+        del self._buffer[base]
+        self._seal({base: entry}, bits)
+        return [self._open_line(base, entry[1], bits)]
 
-    def _seal_lines(
-        self,
-        keys: KeySet,
-        addrs: Sequence[int],
-        counters: Sequence[int],
-        plaintexts: Sequence[bytes],
-    ) -> List[bytes]:
-        """Encrypt lines into off-chip memory; return their fine MACs."""
-        ciphertexts = encrypt_lines(keys.encryption_key, addrs, counters, plaintexts)
+    def _seal(self, regions: Dict[int, list], bits: Optional[int] = None) -> None:
+        """Encrypt regions of one chunk off-chip and store their MACs.
+
+        ``regions`` maps region base -> [granularity, counter,
+        plaintexts], as the write buffer does.  The MACs are stored at
+        their addresses under ``bits`` (default: the chunk's current
+        bitmap): a line's MAC, or a coarse region's fold of its line
+        MACs (Eq. 5).  A lone line goes through the per-line primitives,
+        which cost less than the batched kernels for one line.
+        """
+        base = next(iter(regions))
+        if bits is None:
+            bits = self._current_bits(base)
+        keys = self._keys_for(base)
+        if len(regions) == 1:
+            granularity, counter, plaintexts = regions[base]
+            if granularity == CACHELINE_BYTES:
+                ciphertext = encrypt_line(
+                    keys.encryption_key, base, counter, plaintexts[0]
+                )
+                self.dram.write_line(base, ciphertext)
+                mac_addr = addressing.mac_addr(self.geometry, bits, base)
+                self._macs[mac_addr] = compute_mac(
+                    keys.mac_key, base, counter, ciphertext
+                )
+                return
+        addrs: List[int] = []
+        counters: List[int] = []
+        texts: List[bytes] = []
+        for base, (granularity, counter, plaintexts) in regions.items():
+            if granularity == CACHELINE_BYTES:
+                addrs.append(base)
+                counters.append(counter)
+                texts.append(plaintexts[0])
+            else:
+                addrs += range(base, base + granularity, CACHELINE_BYTES)
+                counters += [counter] * len(plaintexts)
+                texts += plaintexts
+        ciphertexts = encrypt_lines(keys.encryption_key, addrs, counters, texts)
         write_line = self.dram.write_line
         for addr, ciphertext in zip(addrs, ciphertexts):
             write_line(addr, ciphertext)
-        return line_macs(keys.mac_key, addrs, counters, ciphertexts)
-
-    def _seal_region(
-        self,
-        region_base: int,
-        granularity: int,
-        counter: int,
-        plaintexts: List[bytes],
-        bits: int,
-    ) -> None:
-        """Encrypt a region under ``counter`` and store its merged MAC."""
-        if granularity == GRANULARITIES[0]:
-            self._seal_line(region_base, counter, plaintexts[0], bits)
-            return
-        keys = self._keys_for(region_base)
-        fine_macs = self._seal_lines(
-            keys,
-            range(region_base, region_base + granularity, CACHELINE_BYTES),
-            [counter] * (granularity // CACHELINE_BYTES),
-            plaintexts,
-        )
-        mac_addr = addressing.mac_addr(self.geometry, bits, region_base)
-        self._macs[mac_addr] = nested_mac(keys.mac_key, fine_macs)
+        fine_macs = line_macs(keys.mac_key, addrs, counters, ciphertexts)
+        macs = self._macs
+        mac_addrs = addressing.mac_addrs(self.geometry, bits, list(regions))
+        at = 0
+        for entry, mac_addr in zip(regions.values(), mac_addrs):
+            lines = len(entry[2])
+            if lines == 1:
+                macs[mac_addr] = fine_macs[at]
+            else:
+                macs[mac_addr] = nested_mac(keys.mac_key, fine_macs[at : at + lines])
+            at += lines
 
     def _open_region(
         self, region_base: int, granularity: int, counter: int, bits: int

@@ -40,7 +40,10 @@ freshness chain once, just before the MACs are computed.  Every reader
 of off-chip tree state triggers that seal first: the attacker
 primitives, ``set_counter``, ``prune_subtree`` and
 ``drop_trust_cache``.  A read or update at a level above a pending
-count, whose slot may be that count's target, adds the counts first.
+count, whose slot may be that count's target, adds the counts first,
+and an update of a slot that is the freshness counter of a child
+updated in the scope seals first, so the child keeps the seal its last
+update gave it.
 Nothing is ever checked against a stale seal, and the state after the
 scope is the one climbing on every update leaves.
 
@@ -496,6 +499,12 @@ class CounterTree:
         """:meth:`_bump` once something has climbed since the last seal."""
         if level > self._low:
             self._apply_counts()
+        if level and (level - 1, node * self._arity + slot) in self._unsealed:
+            # The slot is the freshness counter of a child updated in
+            # the scope: seal the child under its value first, as
+            # sealing after every update does.
+            self.seal()
+            return self._bump(level, node, slot)
         if (level, node) in self._unsealed:
             value = self._write_back(level, node, slot)
             if value is not None:
@@ -599,9 +608,6 @@ class CounterTree:
                 f"counter overflow at level {level}, node {node}, slot {slot} "
                 f"(limit {self.counter_limit})"
             )
-        # A promoted counter (level > 0) is the freshness counter of a
-        # child the promoting switch sealed and pruned, so this bump
-        # never moves a pending seal.
         payload[slot] += 1
         if level == self._root_level:
             self._root[slot] = payload[slot]

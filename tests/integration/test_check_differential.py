@@ -14,6 +14,8 @@ from repro.check import golden, metamorphic
 from repro.check.differential import DifferentialHarness, Divergence, DivergenceError
 from repro.check.runner import inject_layout_bug, quick_specs
 from repro.check.streams import StreamSpec, generate_stream
+from repro.common.constants import GRANULARITIES
+from repro.core import addressing
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -78,6 +80,24 @@ def test_permutation_metamorphic_relation_holds():
 
 def test_read_idempotence_holds():
     metamorphic.check_read_idempotence(_spec("sparse", seed=11, ops=150), samples=8)
+
+
+def test_coalesced_writes_relation_holds():
+    result = metamorphic.check_coalesced_writes(_spec("boundary", seed=19, ops=200))
+    assert result["calls"] >= 10
+
+
+def test_coalesced_writes_catch_a_batched_mac_lookup_bug(monkeypatch):
+    # Only the batched Eq. 1 lookup is off by one, so only the MACs that
+    # multi-line and region seals store move.
+    original = addressing.mac_indices_in_chunk
+
+    def buggy(bits, addrs, max_granularity=GRANULARITIES[3]):
+        return [index + 1 for index in original(bits, addrs, max_granularity)]
+
+    monkeypatch.setattr(addressing, "mac_indices_in_chunk", buggy)
+    with pytest.raises(metamorphic.MetamorphicError, match="coalesced writes"):
+        metamorphic.check_coalesced_writes(_spec("boundary", seed=19, ops=200))
 
 
 def test_committed_quick_golden_matches_fresh_replay():

@@ -61,13 +61,12 @@ def crypto_kernels():
 
 
 def nothing_deferred(memory):
-    """No tree node waits for its seal or its freshness climb, no coarse
-    region is open and no written line is pending."""
+    """No tree node waits for its seal or its freshness climb and the
+    write buffer holds no region."""
     return (
-        memory._run is None
+        not memory._buffer
         and not memory.tree._unsealed
         and not memory.tree._counts
-        and not memory._pending
     )
 
 
@@ -216,10 +215,10 @@ class TestReadPath:
 
 
 class TestWritePath:
-    """A write seals each changed tree node once, each coarse region
-    once per run of its lines and each 64B line once, and nothing
-    deferred outlives the call.  Calls are counted as in TestReadPath,
-    plus the tree's node-MAC import.
+    """A write seals each changed tree node once and each region it
+    buffers once per flush, and nothing deferred outlives the call.
+    Calls are counted as in TestReadPath, plus the tree's node-MAC
+    import.
     """
 
     @pytest.fixture()
@@ -251,10 +250,10 @@ class TestWritePath:
     def test_fresh_chunk_put_seals_the_promoted_region_once(self, memory, calls):
         memory.write(0, CHUNK_DATA)
         assert memory.granularity_of(0) == CHUNK_BYTES
-        # 511 fine lines wait unsealed; the scale-up at the 512th takes
-        # their plaintexts from the call, and the promoted region is
-        # sealed once, when the write's run ends: each line gets one pad
-        # and one MAC, as under the fixed policy.
+        # 511 fine lines wait in the write buffer; the scale-up at the
+        # 512th takes their plaintexts from it, and the promoted region
+        # is sealed once, when the call flushes the buffer: each line
+        # gets one pad and one MAC, as under the fixed policy.
         assert calls["generate_otp"] == calls["compute_mac"] == 512
         assert calls["nested_mac"] == 1
         assert memory.counter_value(0) == 3
@@ -290,8 +289,8 @@ class TestWritePath:
             memory.write(0, b"\x01" * 64)
         # The stream takes line 0 to 62, so the scale-up's shared counter
         # is 63, the limit: the 512th line's bump overflows before it
-        # joins the region the switch left open, and the overflow
-        # handler must seal that region as the switch used to.
+        # joins the region the switch left in the buffer, and the
+        # overflow handler must seal that region as the switch used to.
         stream_chunk(memory)
         assert memory.events.get("counter_overflows") == 1
         assert (memory.key_epoch(0), memory.counter_value(0)) == (1, 2)
@@ -314,19 +313,25 @@ class TestWritePath:
         assert memory.counter_value(0) == before + size // 64
         assert memory.read(0, CHUNK_BYTES) == b"r" * size + CHUNK_DATA[size:]
 
-    def test_switch_inside_a_run_reopens_the_sealed_region(self, memory):
+    def test_scale_up_takes_a_buffered_coarse_region(self, memory, calls):
         memory.force_granularity(64 * 448, 4096)  # last 4 KB group only
-        # Lines 448-510 ride one open run; line 511 fills the tracker
-        # entry and scales the chunk up to 32 KB, which re-opens that
-        # group from off-chip: the run must be sealed first.
+        calls.clear()
+        # Lines 448-510 join the 4 KB region the write buffered at line
+        # 448 (opened once: 64 MACs, 1 fold, 64 pads); line 511 fills
+        # the tracker entry and scales the chunk up to 32 KB, which
+        # takes that region and lines 0-447 from the buffer instead of
+        # sealing and re-opening them.  The promoted region is sealed
+        # once: 512 pads, 512 MACs, 1 fold.
         stream_chunk(memory)
         assert memory.granularity_of(0) == CHUNK_BYTES
+        assert calls["generate_otp"] == calls["compute_mac"] == 576
+        assert calls["nested_mac"] == 2
         assert nothing_deferred(memory)
         assert memory.read(0, CHUNK_BYTES) == CHUNK_DATA
 
     def test_nothing_deferred_after_a_write_returns(self, memory):
         stream_chunk(memory)
-        memory.write(64 * 500, b"s" * 64 * 24)  # promoted run, then fine
+        memory.write(64 * 500, b"s" * 64 * 24)  # promoted region, then fine
         assert nothing_deferred(memory)
         memory.tree.drop_trust_cache()  # every seal verifies off-chip
         assert memory.read(64 * 500, 64 * 24) == b"s" * 64 * 24
@@ -335,7 +340,8 @@ class TestWritePath:
         memory = SecureMemory(REGION, keys=keys, counter_bits=6)
         stream_chunk(memory)
         # 512 bumps of a 6-bit counter: the tree raises overflow inside
-        # the run, which is sealed before the chunk is re-encrypted.
+        # the buffered region, which is sealed before the chunk is
+        # re-encrypted.
         memory.write(0, b"o" * CHUNK_BYTES)
         assert memory.events.get("counter_overflows") >= 1
         assert memory.key_epoch(0) >= 1

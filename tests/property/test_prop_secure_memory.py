@@ -223,7 +223,7 @@ class TestSplitWriteEquivalence:
         st.sampled_from([6, 64]),
         split_history,
     )
-    # Counter overflow in the middle of a run, then a glitch and a
+    # Counter overflow inside a buffered region, then a glitch and a
     # tamper caught by the first line a later write opens.
     @example(
         "multigranular", "retry-then-quarantine", 6,
@@ -233,7 +233,7 @@ class TestSplitWriteEquivalence:
             ("write", 60, 16, 3),
         ],
     )
-    # Tracker-driven promotion, a run that ends at a chunk boundary, and
+    # Tracker-driven promotion, a call that ends at a chunk boundary, and
     # a tamper between two writes under the raise policy.
     @example(
         "multigranular", "raise", 64,
@@ -252,8 +252,8 @@ class TestSplitWriteEquivalence:
         ],
     )
     # The stream's scale-up lands the shared counter on the 6-bit limit,
-    # so the triggering line's bump overflows inside the run the switch
-    # handed over: the overflow handler must seal it as the switch would.
+    # so the triggering line's bump overflows inside the region the switch
+    # left buffered: the overflow handler must seal it as the switch would.
     @example(
         "multigranular", "raise", 6,
         [("write", 0, 1, 1)] * 61 + [("stream", 0, 2)],
@@ -265,7 +265,7 @@ class TestSplitWriteEquivalence:
         "multigranular", "raise", 64,
         [("write", 0, 8, 1), ("glitch", 3), ("stream", 0, 2)],
     )
-    # A glitch staged on a line the write leaves pending, which a later
+    # A glitch staged on a line the write leaves buffered, which a later
     # switch in the same call (reads marked partition 1 as streamed)
     # leaves outside its span: sealing that line must not consume the
     # glitch, and the next read of the line meets it.
@@ -276,7 +276,7 @@ class TestSplitWriteEquivalence:
             ("read", 600, 1), ("write", 0, 16, 3), ("read", 3, 1),
         ],
     )
-    # Lines 0-4 are pending when line 5's counter overflows mid-call: the
+    # Lines 0-4 are buffered when line 5's counter overflows mid-call: the
     # overflow handler seals them before it re-encrypts the chunk.
     @example(
         "multigranular", "quarantine", 6,
@@ -284,7 +284,7 @@ class TestSplitWriteEquivalence:
     )
     # A 4 KB region whose pruned tree nodes carry forged seals, and a
     # read that marks its first partition fine: the write's scale-down
-    # fails in its re-seal pass, after lines 120-127 were pending, and
+    # fails in its re-seal pass, after lines 120-127 were buffered, and
     # the bystander line 320 of the same chunk must keep its MAC.
     @example(
         "multigranular", "raise", 64,
@@ -297,7 +297,7 @@ class TestSplitWriteEquivalence:
         ],
     )
     # The stream's scale-up fails on line 511, tampered after an earlier
-    # write sealed it: lines 0-510, still pending, must be sealed before
+    # write sealed it: lines 0-510, still buffered, must be sealed before
     # the retries and the failure handler open them, so that only line
     # 511 is quarantined.
     @example(
@@ -305,6 +305,17 @@ class TestSplitWriteEquivalence:
         [
             ("write", 511, 1, 4), ("advance", 20_000), ("read", 600, 1),
             ("tamper", 511, 0), ("stream", 0, 5), ("read", 3, 1),
+        ],
+    )
+    # Chunk 0's tracker entry expires in the middle of the write, after
+    # the write has buffered the 4 KB region at line 0: the merge demotes
+    # that region, and the write's own scale-down must seal the buffered
+    # region before it opens the span.
+    @example(
+        "multigranular", "raise", 64,
+        [
+            ("force", 0, 4096), ("read", 100, 1), ("advance", 16_380),
+            ("write", 0, 16, 3), ("read", 0, 16),
         ],
     )
     def test_one_write_matches_line_by_line_writes(
