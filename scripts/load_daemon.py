@@ -4,13 +4,15 @@
 The CI ``daemon`` job's workhorse (and a developer tool for bigger
 scales):
 
-1. spawn ``python -m repro serve --socket PATH`` as a subprocess;
+1. spawn ``python -m repro serve --socket PATH`` through the chaos
+   story's :class:`~repro.service.chaos.DaemonHarness`;
 2. drive ``--tenants`` concurrent tenant sessions (mixed scalar/fast
    shards by default) over ``--connections`` multiplexed connections;
-3. re-run every tenant's exact trace in-process and assert the
-   daemon-served observable digests are byte-identical;
-4. SIGTERM the daemon and assert a clean exit: status 0, socket
-   unlinked, no orphan process.
+3. hold every tenant to the shared parity verdict: its observable
+   digest is byte-identical to an in-process run of the same trace,
+   and its signed report verifies under the daemon's key;
+4. SIGTERM the daemon under the harness's clean-shutdown verdict:
+   status 0, socket unlinked, no orphan process.
 
 Exit status: 0 all green, 1 parity/load failure, 2 daemon lifecycle
 failure.  The ``repro-load/v1`` report lands at ``--output`` either
@@ -28,38 +30,13 @@ import argparse
 import asyncio
 import json
 import os
-import signal
-import socket as socketlib
-import subprocess
 import sys
-import tempfile
-import time
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 sys.path.insert(0, REPO_SRC)
 
+from repro.service.chaos import DaemonHarness, short_socket_path  # noqa: E402
 from repro.service.load import run_load  # noqa: E402
-
-
-def wait_for_socket(path: str, proc, timeout: float = 30.0) -> None:
-    """Block until the daemon accepts connections (or died trying)."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            raise RuntimeError(
-                f"daemon exited with {proc.returncode} before listening"
-            )
-        if os.path.exists(path):
-            probe = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
-            try:
-                probe.connect(path)
-                return
-            except OSError:
-                pass
-            finally:
-                probe.close()
-        time.sleep(0.05)
-    raise RuntimeError(f"daemon did not listen on {path} within {timeout}s")
 
 
 def main(argv=None) -> int:
@@ -82,42 +59,31 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Unix socket paths are limited to ~104 bytes: keep it short.
-    rundir = tempfile.mkdtemp(prefix="repro-load-", dir="/tmp")
-    sock = os.path.join(rundir, "d.sock")
+    harness = DaemonHarness(
+        short_socket_path("load"), os.urandom(32), state_dir=args.state_dir
+    )
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = REPO_SRC + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    serve_args = [sys.executable, "-m", "repro", "serve", "--socket", sock]
-    if args.state_dir:
-        serve_args += ["--state-dir", args.state_dir]
-    proc = subprocess.Popen(
-        serve_args,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
+    async def drive():
+        await harness.start()
+        print(
+            f"daemon up (pid {harness.proc.pid}); driving {args.tenants} "
+            f"tenants over {args.connections} connections "
+            f"({args.engines} engines)"
+        )
+        return await run_load(
+            tenants=args.tenants,
+            connections=args.connections,
+            engines=args.engines,
+            duration=args.duration,
+            socket_path=harness.socket_path,
+            service_secret=harness.service_secret,
+            progress=lambda line: print(f"  {line}", flush=True),
+        )
+
     status = 0
     report = {}
     try:
-        wait_for_socket(sock, proc)
-        print(
-            f"daemon up (pid {proc.pid}); driving {args.tenants} tenants "
-            f"over {args.connections} connections ({args.engines} engines)"
-        )
-        report = asyncio.run(
-            run_load(
-                tenants=args.tenants,
-                connections=args.connections,
-                engines=args.engines,
-                duration=args.duration,
-                socket_path=sock,
-                progress=lambda line: print(f"  {line}", flush=True),
-            )
-        )
+        report = asyncio.run(drive())
         print(
             f"sessions {report['sessions_completed']}/{report['tenants']}, "
             f"requests {report['requests_served']}, engines "
@@ -132,52 +98,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         status = 2
     finally:
-        # ---- clean-shutdown gate ----
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
-            try:
-                proc.wait(timeout=args.shutdown_timeout)
-            except subprocess.TimeoutExpired:
-                print(
-                    "error: daemon ignored SIGTERM (orphan process)",
-                    file=sys.stderr,
-                )
-                proc.kill()
-                proc.wait()
-                status = max(status, 2)
-        out = proc.stdout.read() if proc.stdout else ""
-        if proc.returncode != 0:
-            print(
-                f"error: daemon exited {proc.returncode}; output:\n{out}",
-                file=sys.stderr,
-            )
-            status = max(status, 2)
-        elif "shut down cleanly" not in out:
-            print(
-                "error: daemon exited 0 without the clean-shutdown line",
-                file=sys.stderr,
-            )
-            status = max(status, 2)
-        elif args.state_dir and "drained" not in out:
-            print(
-                "error: daemon exited 0 without the graceful-drain line",
-                file=sys.stderr,
-            )
-            status = max(status, 2)
-        if os.path.exists(sock):
-            print(
-                f"error: socket {sock} still exists after shutdown",
-                file=sys.stderr,
-            )
-            status = max(status, 2)
-        else:
-            try:
-                os.rmdir(rundir)
-            except OSError:
-                pass
+        shutdown = harness.drain(args.shutdown_timeout)
+        harness.cleanup()
+    for line in shutdown:
+        print(f"error: {line}", file=sys.stderr)
+    if shutdown:
+        status = max(status, 2)
 
     report.setdefault("schema", "repro-load/v1")
-    report["daemon_exit"] = proc.returncode
+    report["daemon_exit"] = harness.exit_code
     report["clean_shutdown"] = status < 2
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)

@@ -613,57 +613,76 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Seconds one ``repro client`` verb may take before the CLI gives up on
+#: a daemon that accepted the connection but stopped answering.
+CLIENT_TIMEOUT_S = 30.0
+
+
 def cmd_client(args: argparse.Namespace) -> int:
     """One-shot client verbs against a running daemon."""
-    import json
+    import asyncio
 
-    from repro.service.client import ServiceClient, ServiceError
+    from repro.service.client import (
+        AsyncServiceClient,
+        ServiceError,
+        ServiceUnavailableError,
+    )
 
     secret = args.secret.encode() if args.secret else b""
-    try:
-        with ServiceClient(
+    tenant = args.tenant
+
+    async def verb(client: AsyncServiceClient) -> dict:
+        if args.verb in ("ping", "stats"):
+            return await client.request(args.verb)
+        if args.verb == "open":
+            return await client.open(
+                tenant,
+                secret,
+                scenario=args.scenario,
+                scheme=args.scheme,
+                engine=args.engine,
+                duration=args.duration,
+                seed=args.seed,
+                data_bytes=args.data_bytes,
+            )
+        # A fresh process knows no seq watermark: re-attach first (open
+        # is the protocol's resync point -- see docs/daemon.md).
+        await client.open(tenant, secret)
+        if args.verb == "step":
+            return await client.step(tenant, secret, requests=args.count)
+        if args.verb == "put":
+            data = bytes.fromhex(args.data)
+            return await client.put(tenant, secret, args.addr, data)
+        if args.verb == "get":
+            data = await client.get(tenant, secret, args.addr, args.size)
+            return {"addr": args.addr, "data_hex": data.hex()}
+        # snapshot, report, close
+        return await client.request(args.verb, tenant=tenant, secret=secret)
+
+    async def run() -> dict:
+        client = AsyncServiceClient(
             socket_path=args.socket, host=args.host, port=args.port
-        ) as client:
-            if args.verb == "ping":
-                body = client.ping()
-            elif args.verb == "stats":
-                body = client.stats()
-            elif args.verb == "open":
-                body = client.open(
-                    args.tenant,
-                    secret,
-                    scenario=args.scenario,
-                    scheme=args.scheme,
-                    engine=args.engine,
-                    duration=args.duration,
-                    seed=args.seed,
-                    data_bytes=args.data_bytes,
-                )
-            elif args.verb == "step":
-                body = client.step(args.tenant, secret, requests=args.count)
-            elif args.verb == "put":
-                body = client.put(
-                    args.tenant, secret, args.addr,
-                    bytes.fromhex(args.data),
-                )
-            elif args.verb == "get":
-                data = client.get(
-                    args.tenant, secret, args.addr, args.size
-                )
-                body = {"addr": args.addr, "data_hex": data.hex()}
-            elif args.verb == "snapshot":
-                body = client.snapshot(args.tenant, secret)
-            elif args.verb == "report":
-                body = client.report(args.tenant, secret)
-            else:  # close
-                body = client.close(args.tenant, secret)
+        )
+        try:
+            return await asyncio.wait_for(verb(client), CLIENT_TIMEOUT_S)
+        finally:
+            await client.close_connection()
+
+    try:
+        body = asyncio.run(run())
     except ServiceError as exc:
         print(
             json.dumps({"error": {"code": exc.code, "message": exc.message}})
         )
         return 1
-    except (ConnectionError, FileNotFoundError, OSError) as exc:
+    except ServiceUnavailableError as exc:
         print(f"error: cannot reach daemon: {exc}", file=sys.stderr)
+        return 2
+    except asyncio.TimeoutError:
+        print(
+            f"error: daemon did not answer within {CLIENT_TIMEOUT_S:g} s",
+            file=sys.stderr,
+        )
         return 2
     print(json.dumps(body, indent=None if args.compact else 1))
     return 0
@@ -1054,8 +1073,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["ping", "stats", "open", "step", "put", "get", "snapshot",
                  "report", "close"],
     )
-    p_cli.add_argument("--socket", default=None, metavar="PATH")
-    p_cli.add_argument("--port", type=int, default=None)
+    endpoint = p_cli.add_mutually_exclusive_group(required=True)
+    endpoint.add_argument("--socket", default=None, metavar="PATH")
+    endpoint.add_argument("--port", type=int, default=None)
     p_cli.add_argument("--host", default="127.0.0.1")
     p_cli.add_argument(
         "--tenant", default="cli", help="tenant name (default cli)"

@@ -17,11 +17,11 @@ from repro.service.protocol import (
     WIRE_SCHEMA,
 )
 from repro.service.daemon import ServiceDaemon
-from repro.service.client import ServiceClient
+from repro.service.client import AsyncServiceClient
 
 __all__ = [
     "ServiceDaemon",
-    "ServiceClient",
+    "AsyncServiceClient",
     "WireError",
     "FrameError",
     "AuthError",

@@ -18,6 +18,12 @@ re-executes; replay a byte-identical duplicate ``step`` and verify it
 never double-applies; and saturate admission control to verify typed
 retryable sheds.  One SIGTERM at the end checks the graceful-drain
 path of ``repro serve`` end to end.
+
+:class:`DaemonHarness` is the one spawner of ``repro serve``
+subprocesses; ``scripts/load_daemon.py`` drives its load through it
+too, and both judge the daemon with the same two verdicts:
+:meth:`DaemonHarness.drain` for a clean shutdown and
+:func:`repro.service.load.parity_failure` per tenant.
 """
 
 from __future__ import annotations
@@ -31,13 +37,18 @@ import subprocess
 import sys
 import tempfile
 import time
+import uuid
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.faults.exec_chaos import ChaosReport
-from repro.service import protocol
 from repro.service.client import AsyncServiceClient, ServiceError
-from repro.service.load import inprocess_digest, tenant_params
+from repro.service.load import (
+    drive_tenant,
+    inprocess_digest,
+    parity_failure,
+    tenant_params,
+)
 from repro.service.store import TenantStore
 
 #: Step windows the chaos fleet rotates through -- all bounded and
@@ -58,16 +69,18 @@ def _python_env() -> Dict[str, str]:
     return env
 
 
-def short_socket_path(tag: str) -> str:
-    """A Unix-socket path short enough for ``sun_path`` limits."""
-    slug = hashlib.blake2b(
-        f"{tag}:{os.getpid()}".encode(), digest_size=5
-    ).hexdigest()
-    return os.path.join(tempfile.gettempdir(), f"repro-cx-{slug}.sock")
+def short_socket_path(tag: str = "d") -> str:
+    """A fresh Unix-socket path short enough for ``sun_path`` (~104 B)."""
+    name = f"repro-{tag}-{uuid.uuid4().hex[:10]}.sock"
+    return os.path.join(tempfile.gettempdir(), name)
 
 
 class DaemonHarness:
-    """One ``repro serve`` subprocess the chaos story kills and revives."""
+    """One ``python -m repro serve --socket PATH`` subprocess.
+
+    It spawns the daemon, waits for its socket, SIGKILLs and revives
+    it, and drains it with SIGTERM under the clean-shutdown verdict.
+    """
 
     def __init__(
         self,
@@ -81,7 +94,8 @@ class DaemonHarness:
         self.state_dir = state_dir
         self.extra_args = list(extra_args)
         self.proc: Optional[subprocess.Popen] = None
-        self.restarts = 0
+        #: The exit status :meth:`drain` collected.
+        self.exit_code: Optional[int] = None
 
     def spawn(self) -> None:
         args = [
@@ -127,22 +141,50 @@ class DaemonHarness:
         """SIGKILL: no drain, no fsync beyond what already happened."""
         if self.proc is not None:
             self.proc.kill()
-            self.proc.wait()
+            self.proc.communicate()  # reap it and close its pipe
             self.proc = None
 
     async def restart(self) -> None:
         self.kill()
-        self.restarts += 1
         await self.start()
 
-    def terminate(self, timeout: float = 30.0):
-        """SIGTERM and collect (exit code, combined output)."""
-        assert self.proc is not None
-        self.proc.send_signal(signal.SIGTERM)
-        out, _ = self.proc.communicate(timeout=timeout)
-        code = self.proc.returncode
-        self.proc = None
-        return code, out or ""
+    def drain(self, timeout: float = 30.0) -> List[str]:
+        """SIGTERM the daemon and judge its shutdown: failures, [] if clean.
+
+        Clean is exit 0 within ``timeout`` with the clean-shutdown line
+        (and, with a state dir, the drained-journals line) and the
+        socket unlinked.  A daemon still running after ``timeout`` is
+        SIGKILLed and reported as an orphan.
+        """
+        proc, self.proc = self.proc, None
+        if proc is None:
+            return ["no daemon to drain"]
+        failures = []
+        proc.send_signal(signal.SIGTERM)
+        try:
+            out, _ = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            out, _ = proc.communicate()
+            failures.append(
+                f"daemon ignored SIGTERM for {timeout:g} s "
+                "(orphan process, killed)"
+            )
+        out = out or ""
+        self.exit_code = proc.returncode
+        if proc.returncode != 0:
+            failures.append(
+                f"daemon exited {proc.returncode}; output:\n{out[-2000:]}"
+            )
+        elif "shut down cleanly" not in out:
+            failures.append("daemon exited 0 without the clean-shutdown line")
+        elif self.state_dir is not None and "drained" not in out:
+            failures.append("daemon exited 0 without the graceful-drain line")
+        if os.path.exists(self.socket_path):
+            failures.append(
+                f"socket {self.socket_path} still exists after shutdown"
+            )
+        return failures
 
     def cleanup(self) -> None:
         if self.proc is not None:
@@ -207,50 +249,6 @@ def dedupe_rows(rows: List[List[object]]) -> List[List[object]]:
     return out
 
 
-async def _drive_fleet_tenant(
-    client: AsyncServiceClient,
-    index: int,
-    engines: str,
-    duration: float,
-    schedule: Optional[KillSchedule],
-) -> Dict[str, object]:
-    """Open + step to completion + report one tenant, surviving kills."""
-    tenant = f"chaos-{index:04d}"
-    secret = f"chaos-secret-{index:04d}".encode()
-    params = tenant_params(index, engines, duration)
-    params["window"] = CHAOS_WINDOWS[index % len(CHAOS_WINDOWS)]
-    await client.open(
-        tenant,
-        secret,
-        scenario=params["scenario"],
-        scheme=params["scheme"],
-        engine=params["engine"],
-        duration=params["duration"],
-        seed=params["seed"],
-    )
-    rows: List[List[object]] = []
-    done = False
-    digest = None
-    while not done:
-        stepped = await client.step(
-            tenant, secret, requests=params["window"]
-        )
-        done = stepped["done"]
-        digest = stepped["digest"]
-        rows.extend(stepped["observables"])
-        if schedule is not None:
-            await schedule.on_window()
-    report = await client.report(tenant, secret)
-    return {
-        "tenant": tenant,
-        "secret": secret,
-        "params": params,
-        "digest": digest,
-        "rows": rows,
-        "report": report,
-    }
-
-
 async def _section_kill_restart(
     report: ChaosReport,
     tenants: int,
@@ -261,7 +259,7 @@ async def _section_kill_restart(
     connections: int,
     progress,
 ) -> None:
-    socket_path = short_socket_path(f"fleet:{seed}")
+    socket_path = short_socket_path("fleet")
     state_dir = tempfile.mkdtemp(prefix="repro-chaos-state-")
     service_secret = hashlib.blake2b(
         f"chaos-service:{seed}".encode(), digest_size=32
@@ -271,7 +269,6 @@ async def _section_kill_restart(
     )
     failures: List[str] = []
     results: List[Dict[str, object]] = []
-    drain = (1, "")
     try:
         await harness.start()
         schedule = KillSchedule(harness, seed, kills)
@@ -283,14 +280,22 @@ async def _section_kill_restart(
         try:
 
             async def one(index: int):
+                params = tenant_params(index, engines, duration)
+                params["window"] = CHAOS_WINDOWS[index % len(CHAOS_WINDOWS)]
                 try:
-                    return await _drive_fleet_tenant(
+                    entry = await drive_tenant(
                         clients[index % len(clients)],
-                        index, engines, duration, schedule,
+                        f"chaos-{index:04d}",
+                        f"chaos-secret-{index:04d}".encode(),
+                        params,
+                        on_window=schedule.on_window,
                     )
                 except Exception as exc:
                     failures.append(f"chaos-{index:04d}: {exc!r}")
                     return None
+                # A window re-executed after a kill streams its rows twice.
+                entry["rows"] = dedupe_rows(entry["rows"])
+                return entry
 
             outcome = await asyncio.gather(
                 *(one(i) for i in range(tenants))
@@ -304,33 +309,12 @@ async def _section_kill_restart(
                 f"fleet done: {len(results)}/{tenants} tenants, "
                 f"{schedule.kills_fired} kill(s)"
             )
-        drain = harness.terminate()
+        drain = harness.drain()
 
         # ---- parity: daemon-under-chaos vs uninterrupted in-process ----
-        parity_ok = 0
-        for entry in results:
-            clean_digest, clean_rows = inprocess_digest(
-                entry["params"], entry["tenant"], entry["secret"]
-            )
-            if entry["digest"] != clean_digest:
-                failures.append(
-                    f"{entry['tenant']}: digest {entry['digest']} != "
-                    f"in-process {clean_digest}"
-                )
-                continue
-            if dedupe_rows(entry["rows"]) != clean_rows:
-                failures.append(f"{entry['tenant']}: row stream diverges")
-                continue
-            att = entry["report"]
-            if not protocol.verify_report(att, service_secret):
-                failures.append(f"{entry['tenant']}: attestation sig bad")
-                continue
-            if att.get("observables", {}).get("sha256") != clean_digest:
-                failures.append(
-                    f"{entry['tenant']}: attestation digest mismatch"
-                )
-                continue
-            parity_ok += 1
+        parity = [parity_failure(entry, service_secret) for entry in results]
+        failures += [failure for failure in parity if failure is not None]
+        parity_ok = parity.count(None)
         report.add(
             "kill-restart parity",
             not failures
@@ -340,14 +324,11 @@ async def _section_kill_restart(
             f"{schedule.kills_fired} SIGKILL+restart(s)"
             + (f"; failures: {failures[:3]}" if failures else ""),
         )
-        code, out = drain
         report.add(
             "graceful drain",
-            code == 0
-            and "shut down cleanly" in out
-            and "drained" in out
-            and not os.path.exists(socket_path),
-            f"SIGTERM exit={code}, journals drained, socket unlinked",
+            not drain,
+            "; ".join(drain)
+            or "SIGTERM exit=0, journals drained, socket unlinked",
         )
     finally:
         harness.cleanup()
@@ -356,7 +337,7 @@ async def _section_kill_restart(
 async def _section_torn_tail(
     report: ChaosReport, duration: float, seed: int
 ) -> None:
-    socket_path = short_socket_path(f"torn:{seed}")
+    socket_path = short_socket_path("torn")
     state_dir = tempfile.mkdtemp(prefix="repro-chaos-torn-")
     service_secret = hashlib.blake2b(
         f"chaos-torn:{seed}".encode(), digest_size=32
@@ -448,7 +429,7 @@ async def _section_torn_tail(
 async def _section_duplicate_and_overload(
     report: ChaosReport, duration: float, seed: int
 ) -> None:
-    socket_path = short_socket_path(f"dup:{seed}")
+    socket_path = short_socket_path("dup")
     service_secret = hashlib.blake2b(
         f"chaos-dup:{seed}".encode(), digest_size=32
     ).digest()

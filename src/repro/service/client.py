@@ -1,26 +1,23 @@
 """Client library for the ``repro-wire/v1`` daemon.
 
-Two clients share the envelope logic:
+:class:`AsyncServiceClient` is the one client: asyncio, multiplexing
+many tenants over ONE connection with response dispatch by request
+id.  The load driver runs thousands of tenant sessions over a handful
+of connections, so tenant-count scaling never collides with
+file-descriptor limits; ``repro client`` runs one verb through it
+under ``asyncio.run``.
 
-* :class:`ServiceClient` -- blocking, one connection, for the CLI verbs
-  (``repro client open/step/report/close``) and for tests.
-* :class:`AsyncServiceClient` -- asyncio, multiplexes many tenants over
-  ONE connection with response dispatch by request id.  The load driver
-  runs thousands of tenant sessions over a handful of connections, so
-  tenant-count scaling never collides with file-descriptor limits.
-
-Both keep a per-tenant ``seq`` watermark; after a reconnect,
-``open`` (re-attach) returns the daemon's watermark so the client can
-resume above it.
+It keeps a per-tenant ``seq`` watermark; after a reconnect, ``open``
+(re-attach) returns the daemon's watermark so the client can resume
+above it.
 
 Resilience
 ----------
-Connection failures never leak raw ``ConnectionRefusedError`` /
-``socket.timeout``: both clients retry with capped, deterministic
-jittered exponential backoff (:func:`reconnect_delay`, mirroring
-``ResiliencePolicy.backoff``) and raise a typed
-:class:`ServiceUnavailableError` naming the endpoint and attempt count
-once the budget is spent.
+Connection failures never leak raw ``ConnectionRefusedError``: the
+client retries with capped, deterministic jittered exponential backoff
+(:func:`reconnect_delay`, mirroring ``ResiliencePolicy.backoff``) and
+raises a typed :class:`ServiceUnavailableError` naming the endpoint
+and attempt count once the budget is spent.
 
 A request that dies mid-flight is retried **idempotently**: the
 envelope is built once (fixed ``seq`` and ``tag``), the client
@@ -37,12 +34,10 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import itertools
-import socket
-import time
 from typing import Dict, Optional
 
 from repro.service import protocol
-from repro.service.protocol import HEADER_BYTES, WireError
+from repro.service.protocol import WireError
 
 
 class ServiceError(WireError):
@@ -125,235 +120,8 @@ class _SeqBook:
         self._seqs[tenant] = seq
         return seq
 
-    def known(self, tenant: str) -> bool:
-        return tenant in self._seqs
-
     def resume(self, tenant: str, watermark: int) -> None:
         self._seqs[tenant] = max(self._seqs.get(tenant, 0), int(watermark))
-
-
-class ServiceClient:
-    """Blocking single-connection client."""
-
-    def __init__(
-        self,
-        socket_path: Optional[str] = None,
-        host: str = "127.0.0.1",
-        port: Optional[int] = None,
-        timeout: float = 30.0,
-        retries: int = 4,
-    ) -> None:
-        if (socket_path is None) == (port is None):
-            raise ValueError("exactly one of socket_path / port required")
-        self.socket_path = socket_path
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retries = retries
-        self._sock: Optional[socket.socket] = None
-        self._ids = itertools.count(1)
-        self._seqs = _SeqBook()
-        #: ``open`` params per tenant, replayed on reattach so a
-        #: restarted daemon rehydrates (or re-creates) the right session.
-        self._open_params: Dict[str, Dict[str, object]] = {}
-
-    # -- connection -----------------------------------------------------
-
-    def endpoint(self) -> str:
-        if self.socket_path is not None:
-            return self.socket_path
-        return f"{self.host}:{self.port}"
-
-    def _connect_once(self) -> None:
-        if self.socket_path is not None:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout)
-            sock.connect(self.socket_path)
-        else:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            )
-        self._sock = sock
-
-    def connect(self) -> "ServiceClient":
-        """Connect, retrying with backoff; typed error when exhausted."""
-        last: Optional[Exception] = None
-        for attempt in range(self.retries + 1):
-            try:
-                self._connect_once()
-                return self
-            except OSError as exc:
-                last = exc
-                self.close_connection()
-                if attempt < self.retries:
-                    time.sleep(reconnect_delay(self.endpoint(), attempt))
-        raise ServiceUnavailableError(
-            self.endpoint(), self.retries + 1, last
-        )
-
-    def close_connection(self) -> None:
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
-
-    def __enter__(self) -> "ServiceClient":
-        return self.connect()
-
-    def __exit__(self, *exc) -> None:
-        self.close_connection()
-
-    # -- framing --------------------------------------------------------
-
-    def _recv_exactly(self, n: int) -> bytes:
-        assert self._sock is not None
-        chunks = []
-        while n:
-            chunk = self._sock.recv(n)
-            if not chunk:
-                raise protocol.FrameError("connection closed mid-frame")
-            chunks.append(chunk)
-            n -= len(chunk)
-        return b"".join(chunks)
-
-    def _send_recv(self, env: Dict[str, object]) -> Dict[str, object]:
-        assert self._sock is not None
-        self._sock.sendall(protocol.encode_frame(env))
-        length = protocol.decode_length(self._recv_exactly(HEADER_BYTES))
-        return _raise_on_error(protocol.decode_body(self._recv_exactly(length)))
-
-    def _reattach(self, tenant: str, secret: bytes) -> None:
-        """Resync one tenant after a reconnect (open is the resync point)."""
-        body = dict(self._open_params.get(tenant, {}))
-        body["secret_hex"] = secret.hex()
-        seq = self._seqs.next(tenant)
-        env = protocol.make_request(
-            next(self._ids), "open", body,
-            tenant=tenant, seq=seq, secret=secret,
-        )
-        out = self._send_recv(env)
-        self._seqs.resume(tenant, out.get("seq", seq))
-
-    def request(
-        self,
-        op: str,
-        body: Optional[Dict[str, object]] = None,
-        tenant: str = "",
-        secret: bytes = b"",
-    ) -> Dict[str, object]:
-        """Send one envelope and return the (unwrapped) response body.
-
-        The envelope is built exactly once; connection failures trigger
-        reconnect + reattach + re-send of the *same* bytes, which the
-        daemon's duplicate cache makes idempotent.
-        """
-        if (
-            op in protocol.TENANT_OPS
-            and op != "open"
-            and not self._seqs.known(tenant)
-        ):
-            # Fresh process, existing daemon session: re-attach first to
-            # learn the daemon's seq watermark (open is the resync
-            # point of the protocol -- see docs/daemon.md).
-            self.open(tenant, secret)
-        seq = self._seqs.next(tenant) if op in protocol.TENANT_OPS else 0
-        env = protocol.make_request(
-            next(self._ids), op, body, tenant=tenant, seq=seq, secret=secret
-        )
-        out = self._request_with_retry(env, op, tenant, secret)
-        if op == "open":
-            self._open_params[tenant] = dict(body or {})
-            self._open_params[tenant].pop("secret_hex", None)
-            self._seqs.resume(tenant, out.get("seq", seq))
-        return out
-
-    def _request_with_retry(
-        self,
-        env: Dict[str, object],
-        op: str,
-        tenant: str,
-        secret: bytes,
-    ) -> Dict[str, object]:
-        last: Optional[Exception] = None
-        resync = op in protocol.TENANT_OPS and op != "open"
-        need_reattach = False
-        reattached = False
-        for attempt in range(self.retries + 1):
-            try:
-                if self._sock is None:
-                    self._connect_once()
-                    need_reattach = resync
-                if need_reattach:
-                    self._reattach(tenant, secret)
-                    need_reattach = False
-                return self._send_recv(env)
-            except ServiceError as exc:
-                # The daemon restarted without this tenant live (its
-                # state rehydrates on open): re-open once, then re-send
-                # the same envelope.  Only for tenants *this client*
-                # opened -- a truly unknown tenant stays an error.
-                if (
-                    exc.code != "unknown-tenant"
-                    or not resync
-                    or reattached
-                    or tenant not in self._open_params
-                ):
-                    raise
-                reattached = True
-                need_reattach = True
-            except (protocol.FrameError, OSError) as exc:
-                last = exc
-                self.close_connection()
-                if attempt < self.retries:
-                    time.sleep(reconnect_delay(self.endpoint(), attempt))
-        raise ServiceUnavailableError(
-            self.endpoint(), self.retries + 1, last
-        )
-
-    # -- verbs ----------------------------------------------------------
-
-    def ping(self) -> Dict[str, object]:
-        return self.request("ping")
-
-    def stats(self) -> Dict[str, object]:
-        return self.request("stats")
-
-    def open(
-        self, tenant: str, secret: bytes, **params
-    ) -> Dict[str, object]:
-        body = dict(params)
-        body["secret_hex"] = secret.hex()
-        return self.request("open", body, tenant=tenant, secret=secret)
-
-    def step(
-        self,
-        tenant: str,
-        secret: bytes,
-        requests: Optional[int] = None,
-    ) -> Dict[str, object]:
-        body = {} if requests is None else {"requests": requests}
-        return self.request("step", body, tenant=tenant, secret=secret)
-
-    def put(
-        self, tenant: str, secret: bytes, addr: int, data: bytes
-    ) -> Dict[str, object]:
-        body = {"addr": addr, "data_hex": data.hex()}
-        return self.request("put", body, tenant=tenant, secret=secret)
-
-    def get(
-        self, tenant: str, secret: bytes, addr: int, size: int = 64
-    ) -> bytes:
-        body = {"addr": addr, "size": size}
-        out = self.request("get", body, tenant=tenant, secret=secret)
-        return bytes.fromhex(out["data_hex"])
-
-    def report(self, tenant: str, secret: bytes) -> Dict[str, object]:
-        return self.request("report", tenant=tenant, secret=secret)
-
-    def snapshot(self, tenant: str, secret: bytes) -> Dict[str, object]:
-        return self.request("snapshot", tenant=tenant, secret=secret)
-
-    def close(self, tenant: str, secret: bytes) -> Dict[str, object]:
-        return self.request("close", tenant=tenant, secret=secret)
 
 
 class AsyncServiceClient:

@@ -2,11 +2,11 @@
 
 Drives N tenants against a daemon -- in-process (``--selftest``) or an
 external one (``scripts/load_daemon.py``) -- through the async
-multiplexing client, then replays every tenant's exact parameters
-through an in-process :class:`EngineSession` and asserts the daemon's
-per-session observable digest (and, for spot-checked tenants, the full
-row stream) is byte-identical.  Produces a ``repro-load/v1`` report
-for the CI artifact.
+multiplexing client, then holds every tenant to :func:`parity_failure`
+against an in-process replay of its exact parameters: the daemon's
+observable digest (and, for spot-checked tenants, the full row stream)
+is byte-identical, and its signed report verifies.  Produces a
+``repro-load/v1`` report for the CI artifact.
 
 Tenants are deliberately heterogeneous: scenario, scheme, seed, window
 size and engine tier (scalar / fast alternating when numpy is present)
@@ -21,6 +21,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.secure_memory.session import EngineSession
+from repro.service import protocol
 from repro.service.client import AsyncServiceClient
 from repro.service.daemon import ServiceDaemon
 
@@ -67,17 +68,49 @@ def inprocess_digest(params: Dict[str, object], tenant: str, secret: bytes):
     return session.observable_digest(), rows
 
 
-async def _drive_tenant(
+def parity_failure(
+    entry: Dict[str, object], service_secret: bytes
+) -> Optional[str]:
+    """The parity verdict: how one daemon-served tenant differs from an
+    in-process run of its params, or ``None`` if it does not.
+
+    ``entry`` holds the tenant's name, secret and params, the daemon's
+    final running ``digest`` (and ``close_digest`` if it was closed),
+    the ``rows`` it streamed (``None`` if not collected) and its signed
+    ``report``, which must verify under ``service_secret`` and attest
+    the in-process digest.
+    """
+    tenant = entry["tenant"]
+    digest, rows = inprocess_digest(entry["params"], tenant, entry["secret"])
+    close_digest = entry.get("close_digest", digest)
+    if entry["digest"] != digest or close_digest != digest:
+        return (
+            f"{tenant}: digest mismatch "
+            f"(daemon {entry['digest']} vs in-process {digest})"
+        )
+    if entry["rows"] is not None and entry["rows"] != rows:
+        return f"{tenant}: observable rows diverge"
+    report = entry["report"]
+    if not protocol.verify_report(report, service_secret):
+        return f"{tenant}: attestation signature does not verify"
+    if report.get("observables", {}).get("sha256") != digest:
+        return f"{tenant}: attestation digest mismatch"
+    return None
+
+
+async def drive_tenant(
     client: AsyncServiceClient,
-    index: int,
-    engines: str,
-    duration: float,
-    collect_rows: bool,
+    tenant: str,
+    secret: bytes,
+    params: Dict[str, object],
+    collect_rows: bool = True,
+    on_window=None,
 ) -> Dict[str, object]:
-    """Open, step to completion, report, close one tenant session."""
-    tenant = f"tenant-{index:05d}"
-    secret = f"secret-{index:05d}".encode()
-    params = tenant_params(index, engines, duration)
+    """Open, step to completion and report one tenant session.
+
+    Returns the entry :func:`parity_failure` judges.  ``on_window`` is
+    awaited after every step window.
+    """
     opened = await client.open(
         tenant,
         secret,
@@ -87,28 +120,24 @@ async def _drive_tenant(
         duration=params["duration"],
         seed=params["seed"],
     )
-    rows: List[List[object]] = []
+    rows: Optional[List[List[object]]] = [] if collect_rows else None
     window = params["window"] or None
     done = False
-    digest = None
     while not done:
         stepped = await client.step(tenant, secret, requests=window)
         done = stepped["done"]
-        digest = stepped["digest"]
-        if collect_rows:
+        if rows is not None:
             rows.extend(stepped["observables"])
-    report = await client.report(tenant, secret)
-    closed = await client.close(tenant, secret)
+        if on_window is not None:
+            await on_window()
     return {
         "tenant": tenant,
         "secret": secret,
         "params": params,
         "engine": opened["engine"],
-        "issued": closed["issued"],
-        "digest": digest,
-        "close_digest": closed["digest"],
-        "report": report,
+        "digest": stepped["digest"],
         "rows": rows,
+        "report": await client.report(tenant, secret),
     }
 
 
@@ -121,6 +150,7 @@ async def run_load(
     host: str = "127.0.0.1",
     port: Optional[int] = None,
     daemon: Optional[ServiceDaemon] = None,
+    service_secret: Optional[bytes] = None,
     parity_rows: int = 8,
     progress=None,
 ) -> Dict[str, object]:
@@ -128,10 +158,11 @@ async def run_load(
 
     With ``daemon`` given, it is started and stopped in this loop (the
     ``--selftest`` path); otherwise the address must point at a running
-    daemon.  ``connections`` clients multiplex the tenants so fd usage
-    stays bounded.  Every tenant's digest is checked against an
-    in-process run; the first ``parity_rows`` tenants are additionally
-    checked row-for-row.  Returns the ``repro-load/v1`` report.
+    daemon whose report-signing key is ``service_secret``.
+    ``connections`` clients multiplex the tenants so fd usage stays
+    bounded.  Every tenant is held to :func:`parity_failure`; the first
+    ``parity_rows`` tenants are checked row-for-row as well.  Returns
+    the ``repro-load/v1`` report.
     """
     from repro.engine_fast import numpy_or_none
 
@@ -142,6 +173,9 @@ async def run_load(
         await daemon.start()
         socket_path = daemon.socket_path
         host, port = daemon.host, daemon.port
+        service_secret = daemon.service_secret
+    if service_secret is None:
+        raise ValueError("run_load needs the daemon's service secret")
 
     started = time.perf_counter()
     clients = []
@@ -158,17 +192,21 @@ async def run_load(
 
         async def one(index: int):
             client = clients[index % len(clients)]
+            tenant = f"tenant-{index:05d}"
+            secret = f"secret-{index:05d}".encode()
             try:
-                return await _drive_tenant(
-                    client,
-                    index,
-                    engines,
-                    duration,
+                entry = await drive_tenant(
+                    client, tenant, secret,
+                    tenant_params(index, engines, duration),
                     collect_rows=index < parity_rows,
                 )
+                closed = await client.close(tenant, secret)
             except Exception as exc:  # collected, not fatal
-                failures.append(f"tenant-{index:05d}: {exc}")
+                failures.append(f"{tenant}: {exc}")
                 return None
+            entry["issued"] = closed["issued"]
+            entry["close_digest"] = closed["digest"]
+            return entry
 
         outcome = await asyncio.gather(*(one(i) for i in range(tenants)))
         results = [r for r in outcome if r is not None]
@@ -181,26 +219,14 @@ async def run_load(
 
     # ---- parity sweep: daemon digests vs in-process replays ----
     parity_checked = 0
-    for entry in results:
-        digest, rows = inprocess_digest(
-            entry["params"], entry["tenant"], entry["secret"]
-        )
-        if entry["digest"] != digest or entry["close_digest"] != digest:
-            failures.append(
-                f"{entry['tenant']}: digest mismatch "
-                f"(daemon {entry['digest']} vs in-process {digest})"
-            )
-        elif entry["rows"] and entry["rows"] != rows:
-            failures.append(f"{entry['tenant']}: observable rows diverge")
-        else:
+    for position, entry in enumerate(results, start=1):
+        failure = parity_failure(entry, service_secret)
+        if failure is None:
             parity_checked += 1
-        att = entry["report"]
-        if att.get("observables", {}).get("sha256") != digest:
-            failures.append(
-                f"{entry['tenant']}: attestation digest mismatch"
-            )
-        if progress and parity_checked % 100 == 0:
-            progress(f"parity {parity_checked}/{len(results)}")
+        else:
+            failures.append(failure)
+        if progress and position % 100 == 0:
+            progress(f"parity {position}/{len(results)}")
 
     engines_seen: Dict[str, int] = {}
     total_rows = 0

@@ -23,11 +23,11 @@ Entry types (all carry the wire ``seq`` that committed them):
 The journal never stores engine state: sessions are deterministic in
 their params, so rehydration rebuilds the :class:`EngineSession` from
 the header and **replays** the entry prefix, asserting the recorded
-observable digest after every step window.  A torn tail line (crash
-mid-append) or a corrupt entry ends the valid prefix: everything after
-it is dropped, the file is healed (atomically rewritten to the good
-prefix) and the dropped windows simply re-execute when the client
-retries -- damage degrades to re-work, never to wrong results.
+observable digest after every step window.  Lines are written and
+healed by :mod:`repro.common.durable`, under the heal rule written
+there: a torn tail line (crash mid-append) or a corrupt entry ends the
+valid prefix, and the dropped windows re-execute when the client
+retries.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.common import durable
 from repro.common.canonical import canonical_json, digest_text
 
 #: Tenant-journal schema identifier; bump on incompatible change.
@@ -48,13 +49,19 @@ class TenantStoreError(ValueError):
     """The tenant journal is unusable (schema/identity damage)."""
 
 
+def _entry_line(entry: Dict[str, object]) -> str:
+    """One journal line: ``entry`` wrapped with its digest."""
+    body = canonical_json(entry)
+    return canonical_json({"digest": digest_text(body), "entry": entry})
+
+
 class TenantJournal:
     """One tenant's append-only event log (``repro-tenant/v1``)."""
 
     def __init__(self, path: os.PathLike) -> None:
         self.path = Path(path)
         self.header: Dict[str, object] = {}
-        self._fh = None
+        self._log = durable.Appender(self.path)
         #: Damaged lines observed by the last :meth:`load_entries`.
         self.dropped_entries = 0
 
@@ -79,7 +86,7 @@ class TenantJournal:
         journal.path.parent.mkdir(parents=True, exist_ok=True)
         if journal.path.exists():
             journal.path.unlink()
-        journal._append_line(canonical_json(journal.header))
+        journal._log.append(canonical_json(journal.header))
         return journal
 
     @classmethod
@@ -90,9 +97,7 @@ class TenantJournal:
         return journal
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()
 
     def unlink(self) -> None:
         self.close()
@@ -103,7 +108,7 @@ class TenantJournal:
 
     def _read_header(self) -> Dict[str, object]:
         try:
-            with open(self.path, encoding="utf-8") as handle:
+            with open(self.path, encoding="utf-8", errors="replace") as handle:
                 first = handle.readline()
             header = json.loads(first)
         except (OSError, json.JSONDecodeError) as exc:
@@ -128,19 +133,9 @@ class TenantJournal:
 
     # -- writing -------------------------------------------------------
 
-    def _append_line(self, line: str) -> None:
-        if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
     def append(self, entry: Dict[str, object]) -> None:
         """Durably append one committed entry (digest + flush + fsync)."""
-        body = canonical_json(entry)
-        self._append_line(
-            canonical_json({"digest": digest_text(body), "entry": entry})
-        )
+        self._log.append(_entry_line(entry))
 
     def record_open(self, seq: int, snapshot: Dict[str, object]) -> None:
         self.append({"type": "open", "seq": int(seq), "snapshot": snapshot})
@@ -176,16 +171,18 @@ class TenantJournal:
     def load_entries(self) -> List[Dict[str, object]]:
         """The valid entry *prefix*, in append order.
 
-        Unlike the latest-wins task journal, a tenant journal is an
-        ordered event log: state after entry N depends on every entry
-        before it, so the first damaged line (torn tail, bad JSON,
-        digest mismatch) ends the usable prefix and everything from it
-        on is dropped -- counted in :attr:`dropped_entries`.
+        A tenant journal is an ordered event log: state after entry N
+        depends on every entry before it, so the first damaged line
+        (torn tail, bad JSON, digest mismatch) ends the usable prefix
+        and everything from it on is dropped -- counted in
+        :attr:`dropped_entries`.
         """
         self.dropped_entries = 0
         self.header = self._read_header()
         entries: List[Dict[str, object]] = []
-        with open(self.path, encoding="utf-8") as handle:
+        # A byte that is not UTF-8 decodes to U+FFFD, which fails the
+        # line's parse or digest: damage, not a crash.
+        with open(self.path, encoding="utf-8", errors="replace") as handle:
             lines = handle.readlines()
         for position, raw in enumerate(lines[1:], start=1):
             damaged = not raw.endswith("\n")
@@ -211,25 +208,11 @@ class TenantJournal:
         return entries
 
     def truncate_to(self, entries: List[Dict[str, object]]) -> None:
-        """Heal: atomically rewrite the file as header + ``entries``.
-
-        tmp + fsync + rename, so a crash mid-heal leaves either the old
-        damaged file (healed again on the next rehydration) or the new
-        clean one -- never a half-written journal.
-        """
+        """Heal: republish the file as header + ``entries``."""
         self.close()
-        tmp = self.path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(self.header) + "\n")
-            for entry in entries:
-                body = canonical_json(entry)
-                handle.write(
-                    canonical_json({"digest": digest_text(body), "entry": entry})
-                    + "\n"
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        lines = [canonical_json(self.header)]
+        lines += [_entry_line(entry) for entry in entries]
+        durable.publish(self.path, "".join(line + "\n" for line in lines))
 
 
 class TenantStore:

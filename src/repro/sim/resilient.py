@@ -45,7 +45,6 @@ import logging
 import os
 import pickle
 import time
-import uuid
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -70,6 +69,7 @@ from typing import (
     TypeVar,
 )
 
+from repro.common import durable
 from repro.common.canonical import digest_text
 from repro.obs import EventType
 
@@ -258,13 +258,11 @@ class ResultStore:
         {"schema": "repro-result/v1", "task": <digest>, "key": ...,
          "payload": <b64 pickle>, "digest": <sha256 of payload>}
 
-    Commit writes a private temp file, fsyncs it, then ``os.link``\\ s
-    it to the final path -- an atomic create-if-absent, so exactly one
-    committer's bytes land no matter how many raced.  One heal rule
-    covers every kind of damage: a blob that is torn, has flipped
-    bytes, carries another schema or another task's digest, or no
-    longer unpickles reads as *absent*; its task re-executes, and the
-    commit unlinks the invalid occupant and retries the link once.
+    Commit is :func:`repro.common.durable.publish` with a
+    create-if-absent link, so exactly one committer's bytes land no
+    matter how many raced, and damage heals by the rule written there:
+    a blob that is torn, has flipped bytes, carries another schema or
+    another task's digest, or no longer unpickles reads as *absent*.
 
     Payloads are pickles of this tree's classes: a store is valid only
     for the code that wrote it (task digests pin the code tree, so
@@ -299,23 +297,9 @@ class ResultStore:
         )
         final = self.path(digest)
         final.parent.mkdir(parents=True, exist_ok=True)
-        tmp = final.with_name(f".{digest}.{uuid.uuid4().hex[:8]}.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(envelope)
-            handle.flush()
-            os.fsync(handle.fileno())
-        try:
-            for _attempt in (0, 1):
-                try:
-                    os.link(tmp, final)
-                    return True
-                except FileExistsError:
-                    if self.load(digest) is not MISSING:
-                        return False  # a valid result beat us; defer to it
-                    final.unlink(missing_ok=True)  # heal, then relink once
-            return self.load(digest) is not MISSING
-        finally:
-            tmp.unlink(missing_ok=True)
+        return durable.publish(
+            final, envelope, keep=lambda: self.load(digest) is not MISSING
+        )
 
     def payload(self, digest: str) -> Optional[str]:
         """The payload text of a well-formed blob of ``digest``, else None.

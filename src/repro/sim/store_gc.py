@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
+from repro.common.durable import TEMP_GLOB
 from repro.sim.resilient import ResultStore, default_store_dir
 
 
@@ -120,7 +121,7 @@ def collect_garbage(
 
     store = ResultStore(store_root)
     if store_root.exists():
-        for tmp in sorted(store_root.glob("*/.*.tmp")):
+        for tmp in sorted(store_root.glob(f"*/{TEMP_GLOB}")):
             report.tmp_removed += 1
             report.bytes_freed += tmp.stat().st_size
             if not dry_run:

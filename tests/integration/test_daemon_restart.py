@@ -12,12 +12,11 @@ unit-test speed.
 import asyncio
 import os
 import tempfile
-import uuid
 
 import pytest
 
 from repro.service import protocol
-from repro.service.chaos import dedupe_rows
+from repro.service.chaos import dedupe_rows, short_socket_path
 from repro.service.client import AsyncServiceClient, ServiceError
 from repro.service.daemon import ServiceDaemon
 from repro.service.load import inprocess_digest
@@ -25,12 +24,6 @@ from repro.service.store import TenantStore
 
 DURATION = 300.0
 SVC_KEY = b"svc-key"
-
-
-def short_socket_path():
-    return os.path.join(
-        tempfile.gettempdir(), f"repro-{uuid.uuid4().hex[:10]}.sock"
-    )
 
 
 def make_daemon(path, state, **kwargs):

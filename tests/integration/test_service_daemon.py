@@ -11,25 +11,17 @@ crash the daemon or leak a session, and must tick the
 import asyncio
 import os
 import struct
-import tempfile
-import uuid
 
 import pytest
 
 from repro.secure_memory.session import EngineSession
 from repro.service import protocol
+from repro.service.chaos import short_socket_path
 from repro.service.client import AsyncServiceClient, ServiceError
 from repro.service.daemon import ServiceDaemon
 from repro.service.load import run_load
 
 DURATION = 300.0
-
-
-def short_socket_path():
-    # Unix socket paths cap at ~104 bytes; pytest tmp_path is too deep.
-    return os.path.join(
-        tempfile.gettempdir(), f"repro-{uuid.uuid4().hex[:10]}.sock"
-    )
 
 
 def with_daemon(coro):

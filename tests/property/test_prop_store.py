@@ -1,11 +1,14 @@
-"""Property tests of the checkpoint store's one heal rule.
+"""Property tests of the one heal rule, over both durable formats.
 
 A blob that is torn, has a flipped payload, carries another schema or
 another task's digest reads as *absent*, and the next commit heals it.
 Racing committers leave exactly one valid blob, and a read never
 returns a value nobody committed.  Through the :class:`Supervisor`, a
 run that crashed and had blobs damaged is healed by the next run, which
-executes exactly the tasks that had no valid blob.
+executes exactly the tasks that had no valid blob.  A tenant journal
+line that is cut, has a flipped byte or is replaced by garbage ends
+the valid prefix, and ``truncate_to`` leaves a journal that reloads
+whole and takes the next append.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ import threading
 from contextlib import contextmanager
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
+from repro.common.durable import TEMP_GLOB
 from repro.faults.exec_chaos import break_blob_schema, corrupt_blob, tear_blob
+from repro.service.store import TenantJournal
 from repro.sim.resilient import (
     MISSING,
     RESULT_SCHEMA,
@@ -218,3 +223,82 @@ def test_crashed_run_rerun_commits_each_task_exactly_once(n_tasks, data):
         stems = {path.stem for path in store.blobs()} - {OTHER}
         assert stems == set(digests)
         assert list(store.root.glob("*/.*.tmp")) == []
+
+
+ENTRIES = st.lists(
+    st.fixed_dictionaries(
+        {
+            "type": st.sampled_from(["open", "step", "put"]),
+            "seq": st.integers(0, 10**6),
+            "tag": st.text(alphabet="0123456789abcdef", max_size=32),
+            "issued": st.integers(0, 10**6),
+        }
+    ),
+    min_size=1,
+    max_size=8,
+)
+#: Garbage lines: no control characters or whitespace, which would end
+#: the line or strip to a blank one (a blank line is skipped, not damage).
+GARBAGE = st.text(
+    alphabet=st.characters(
+        blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _damage_line(body: bytes, last: bool, kind: str, data) -> bytes:
+    """One journal line (without its newline) after ``kind`` damage."""
+    if kind == "cut":  # a torn write: the tail of the line never landed
+        cut = data.draw(st.integers(1, len(body) - 1), label="cut")
+        return body[:cut] + (b"" if last else b"\n")
+    if kind == "flip":
+        at = data.draw(st.integers(0, len(body) - 1), label="at")
+        flipped = body[at] ^ data.draw(st.integers(1, 255), label="mask")
+        assume(flipped not in b"\r\n")  # a new line break is not one damage
+        return body[:at] + bytes([flipped]) + body[at + 1:] + b"\n"
+    return data.draw(GARBAGE, label="garbage").encode("utf-8") + b"\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=ENTRIES,
+    kind=st.sampled_from(("cut", "flip", "garbage")),
+    data=st.data(),
+)
+def test_damaged_journal_line_ends_the_prefix_and_truncate_heals(
+    entries, kind, data
+):
+    with tempfile.TemporaryDirectory(prefix="repro-journal-prop-") as name:
+        path = Path(name) / "tenant.jsonl"
+        journal = TenantJournal.create(path, "t", "kid", {"seed": 1})
+        for entry in entries:
+            journal.append(entry)
+        journal.close()
+        lines = path.read_bytes().split(b"\n")[:-1]  # header + entries
+        hit = data.draw(st.integers(0, len(entries) - 1), label="hit")
+        lines[1 + hit] = _damage_line(
+            lines[1 + hit], hit == len(entries) - 1, kind, data
+        )
+        path.write_bytes(
+            b"".join(line + b"\n" for line in lines[: 1 + hit])
+            + lines[1 + hit]
+            + b"".join(line + b"\n" for line in lines[2 + hit:])
+        )
+
+        journal = TenantJournal.attach(path)
+        assert journal.load_entries() == entries[:hit]
+        assert journal.dropped_entries == len(entries) - hit
+        journal.truncate_to(entries[:hit])
+
+        healed = TenantJournal.attach(path)
+        assert healed.load_entries() == entries[:hit]
+        assert healed.dropped_entries == 0
+        extra = {"type": "step", "seq": 10**7, "tag": "ff", "issued": 1}
+        healed.append(extra)
+        healed.close()
+        again = TenantJournal.attach(path)
+        assert again.load_entries() == entries[:hit] + [extra]
+        assert again.dropped_entries == 0
+        assert list(Path(name).glob(TEMP_GLOB)) == []

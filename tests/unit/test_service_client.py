@@ -1,8 +1,8 @@
 """Client resilience: typed unavailability, deterministic backoff.
 
-No daemon here -- these tests point the clients at endpoints that
-refuse, vanish or never existed and pin the *client-side* contract:
-raw ``ConnectionRefusedError`` / ``socket.timeout`` never leak, the
+No daemon here -- these tests point the client at an endpoint that
+never existed and pin the *client-side* contract: raw
+``ConnectionRefusedError`` / ``FileNotFoundError`` never leak, the
 typed :class:`ServiceUnavailableError` names the endpoint and attempt
 count, and the reconnect backoff schedule is a pure function of
 ``(endpoint, attempt)``.
@@ -17,7 +17,6 @@ import pytest
 
 from repro.service.client import (
     AsyncServiceClient,
-    ServiceClient,
     ServiceError,
     ServiceUnavailableError,
     reconnect_delay,
@@ -30,37 +29,23 @@ def dead_socket_path():
     )
 
 
-def test_sync_connect_raises_typed_error_naming_endpoint():
+def test_async_request_raises_typed_error():
     path = dead_socket_path()
-    client = ServiceClient(socket_path=path, retries=1)
-    with pytest.raises(ServiceUnavailableError) as excinfo:
-        client.connect()
-    err = excinfo.value
+
+    async def scenario():
+        client = AsyncServiceClient(socket_path=path, retries=1)
+        with pytest.raises(ServiceUnavailableError) as excinfo:
+            await client.request("ping")
+        await client.close_connection()
+        return excinfo.value
+
+    err = asyncio.run(scenario())
     assert err.endpoint == path
     assert err.attempts == 2
     assert path in str(err)
     assert "2 attempt(s)" in str(err)
     assert isinstance(err.cause, OSError)
     assert err.code == "service-unavailable"
-
-
-def test_sync_request_raises_typed_error_not_oserror():
-    client = ServiceClient(socket_path=dead_socket_path(), retries=0)
-    with pytest.raises(ServiceUnavailableError):
-        client.ping()
-
-
-def test_async_request_raises_typed_error():
-    async def scenario():
-        client = AsyncServiceClient(
-            socket_path=dead_socket_path(), retries=1
-        )
-        with pytest.raises(ServiceUnavailableError) as excinfo:
-            await client.request("ping")
-        assert excinfo.value.attempts == 2
-        await client.close_connection()
-
-    asyncio.run(scenario())
 
 
 def test_backoff_is_deterministic_capped_and_jittered():
